@@ -1,30 +1,85 @@
 #include "common/csv.h"
 
+#include <charconv>
+
 namespace blockoptr {
 
-void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
-  for (size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) out_ << ',';
-    out_ << EscapeField(fields[i]);
+namespace {
+
+bool NeedsQuotes(std::string_view field) {
+  for (char c : field) {
+    if (c == ',' || c == '"' || c == '\n' || c == '\r') return true;
   }
-  out_ << '\n';
+  return false;
+}
+
+/// Appends `field` escaped per RFC 4180: the one escaper behind
+/// EscapeField, Field and EndField.
+void AppendEscaped(std::string& out, std::string_view field) {
+  if (!NeedsQuotes(field)) {
+    out += field;
+    return;
+  }
+  out += '"';
+  for (char c : field) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+}
+
+}  // namespace
+
+void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
+  for (const auto& field : fields) Field(field);
+  EndRow();
+}
+
+void CsvWriter::Field(std::string_view text) {
+  BeginField();
+  AppendEscaped(row_, text);
+}
+
+void CsvWriter::Field(uint64_t value) {
+  BeginField();
+  char buf[24];
+  row_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void CsvWriter::Field(double value) {
+  BeginField();
+  // std::to_chars with a format and precision is specified to produce
+  // printf's text for the matching conversion. "%.6f" of any double fits:
+  // sign, 309 integer digits, point, 6 decimals.
+  char buf[320];
+  row_.append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::fixed, 6)
+                       .ptr);
+}
+
+void CsvWriter::BeginField() {
+  if (fields_++ > 0) row_ += ',';
+  field_start_ = row_.size();
+}
+
+void CsvWriter::EndField() {
+  const std::string_view field = std::string_view(row_).substr(field_start_);
+  if (!NeedsQuotes(field)) return;
+  const std::string raw(field);
+  row_.resize(field_start_);
+  AppendEscaped(row_, raw);
+}
+
+void CsvWriter::EndRow() {
+  row_ += '\n';
+  out_.write(row_.data(), static_cast<std::streamsize>(row_.size()));
+  row_.clear();
+  fields_ = 0;
 }
 
 std::string CsvWriter::EscapeField(std::string_view field) {
-  bool needs_quotes = false;
-  for (char c : field) {
-    if (c == ',' || c == '"' || c == '\n' || c == '\r') {
-      needs_quotes = true;
-      break;
-    }
-  }
-  if (!needs_quotes) return std::string(field);
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
+  std::string out;
+  AppendEscaped(out, field);
   return out;
 }
 

@@ -1,8 +1,11 @@
 #include "common/json.h"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 
 namespace blockoptr {
 
@@ -11,6 +14,22 @@ namespace {
 const JsonValue& NullValue() {
   static const JsonValue* kNull = new JsonValue(nullptr);
   return *kNull;
+}
+
+/// The first of an object's sorted members whose key is not less than
+/// `key`.
+template <typename Members>
+auto MemberLowerBound(Members& members, std::string_view key) {
+  return std::lower_bound(
+      members.begin(), members.end(), key,
+      [](const auto& member, std::string_view k) { return member.first < k; });
+}
+
+/// The member named `key`, or `members.end()`.
+template <typename Members>
+auto FindMember(Members& members, std::string_view key) {
+  auto it = MemberLowerBound(members, key);
+  return it != members.end() && it->first == key ? it : members.end();
 }
 
 /// Recursive-descent JSON parser over a string_view cursor.
@@ -55,9 +74,18 @@ class Parser {
     char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Each level costs parser stack frames: cap the depth so hostile
+        // input comes back as a Status instead of a stack overflow.
+        if (depth_ == JsonValue::kMaxParseDepth) {
+          return Fail("arrays/objects nested deeper than " +
+                      std::to_string(JsonValue::kMaxParseDepth));
+        }
+        ++depth_;
+        auto v = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return v;
+      }
       case '"': {
         auto s = ParseString();
         if (!s.ok()) return s.status();
@@ -167,9 +195,12 @@ class Parser {
 
   Result<JsonValue> ParseObject() {
     Consume('{');
-    JsonValue::Object obj;
+    // The members of all open objects share one stack, in input order; an
+    // object takes its own, exactly sized, when it closes, and the Object
+    // constructor sorts them once, so unsorted input costs O(n log n).
+    const size_t first = members_.size();
     SkipWs();
-    if (Consume('}')) return JsonValue(std::move(obj));
+    if (Consume('}')) return JsonValue(JsonValue::Object());
     for (;;) {
       SkipWs();
       auto key = ParseString();
@@ -179,41 +210,38 @@ class Parser {
       SkipWs();
       auto v = ParseValue();
       if (!v.ok()) return v;
-      obj[std::move(*key)] = std::move(*v);
+      members_.emplace_back(std::move(*key), std::move(*v));
       SkipWs();
-      if (Consume('}')) return JsonValue(std::move(obj));
+      if (Consume('}')) {
+        const auto begin = members_.begin() + static_cast<ptrdiff_t>(first);
+        std::vector<JsonValue::Object::value_type> own(
+            std::make_move_iterator(begin),
+            std::make_move_iterator(members_.end()));
+        members_.erase(begin, members_.end());
+        return JsonValue(JsonValue::Object(std::move(own)));
+      }
       if (!Consume(',')) return Fail("expected ',' or '}' in object");
     }
   }
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;
+  std::vector<JsonValue::Object::value_type> members_;
 };
 
-void AppendNumber(std::string& out, double d) {
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    out += buf;
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out += buf;
-  }
-}
-
-}  // namespace
-
-const JsonValue& JsonValue::operator[](const std::string& key) const {
-  if (!is_object()) return NullValue();
-  auto it = as_object().find(key);
-  if (it == as_object().end()) return NullValue();
-  return it->second;
-}
-
-std::string JsonValue::QuoteString(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
+/// Appends `s` as a quoted JSON string: the one escaper behind both
+/// QuoteString and DumpTo. Runs of bytes that need no escape are appended
+/// whole; bytes >= 0x80 pass through untouched.
+void AppendQuoted(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  size_t run = 0;  // first byte not yet appended
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -222,26 +250,112 @@ std::string JsonValue::QuoteString(std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(esc, sizeof(esc));
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
+}
+
+/// Integral values below 1e15 in magnitude print as "%lld", everything
+/// else as "%.17g" (which round-trips every double). std::to_chars with a
+/// format and precision is specified to produce exactly what printf
+/// produces for the matching conversion in the "C" locale, so the text is
+/// printf's without its format parsing or locale lookup. NaN and infinity
+/// have no JSON spelling and serialize as null.
+void AppendNumber(std::string& out, double d) {
+  if (!std::isfinite(d)) {
+    out += "null";
+    return;
+  }
+  char buf[32];  // "%.17g" needs at most 24: -d.dddddddddddddddde-308
+  std::to_chars_result r;
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    r = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d));
+  } else {
+    r = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general,
+                      17);
+  }
+  out.append(buf, r.ptr);
+}
+
+/// A newline followed by `spaces` spaces, sliced from one static buffer.
+void AppendNewline(std::string& out, size_t spaces) {
+  static constexpr auto kLine = [] {
+    std::array<char, 129> line{};
+    line[0] = '\n';
+    for (size_t i = 1; i < line.size(); ++i) line[i] = ' ';
+    return line;
+  }();
+  constexpr size_t kMaxSpaces = kLine.size() - 1;
+  size_t n = std::min(spaces, kMaxSpaces);
+  out.append(kLine.data(), 1 + n);
+  for (spaces -= n; spaces > 0; spaces -= n) {
+    n = std::min(spaces, kMaxSpaces);
+    out.append(kLine.data() + 1, n);
+  }
+}
+
+}  // namespace
+
+JsonValue::Object::Object(std::vector<value_type> members)
+    : members_(std::move(members)) {
+  auto key_less = [](const value_type& a, const value_type& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(members_.begin(), members_.end(), key_less)) {
+    std::stable_sort(members_.begin(), members_.end(), key_less);
+  }
+  // Keep the last of each run of equal keys, as repeated assignment would.
+  auto kept = members_.begin();
+  for (auto it = members_.begin(); it != members_.end(); ++it) {
+    auto next = std::next(it);
+    if (next != members_.end() && next->first == it->first) continue;
+    if (kept != it) *kept = std::move(*it);
+    ++kept;
+  }
+  members_.erase(kept, members_.end());
+}
+
+JsonValue& JsonValue::Object::operator[](std::string_view key) {
+  if (members_.empty() || members_.back().first < key) {
+    return members_.emplace_back(std::string(key), JsonValue()).second;
+  }
+  auto it = MemberLowerBound(members_, key);
+  if (it == members_.end() || it->first != key) {
+    it = members_.emplace(it, std::string(key), JsonValue());
+  }
+  return it->second;
+}
+
+JsonValue::Object::iterator JsonValue::Object::find(std::string_view key) {
+  return FindMember(members_, key);
+}
+
+JsonValue::Object::const_iterator JsonValue::Object::find(
+    std::string_view key) const {
+  return FindMember(members_, key);
+}
+
+const JsonValue& JsonValue::operator[](std::string_view key) const {
+  if (!is_object()) return NullValue();
+  auto it = as_object().find(key);
+  if (it == as_object().end()) return NullValue();
+  return it->second;
+}
+
+std::string JsonValue::QuoteString(std::string_view s) {
+  std::string out;
+  AppendQuoted(out, s);
   return out;
 }
 
 void JsonValue::DumpTo(std::string& out, int indent, int depth) const {
   auto newline = [&](int d) {
-    if (indent > 0) {
-      out += '\n';
-      out.append(static_cast<size_t>(indent * d), ' ');
-    }
+    if (indent > 0) AppendNewline(out, static_cast<size_t>(indent * d));
   };
   if (is_null()) {
     out += "null";
@@ -250,7 +364,7 @@ void JsonValue::DumpTo(std::string& out, int indent, int depth) const {
   } else if (is_number()) {
     AppendNumber(out, as_number());
   } else if (is_string()) {
-    out += QuoteString(as_string());
+    AppendQuoted(out, as_string());
   } else if (is_array()) {
     const auto& arr = as_array();
     if (arr.empty()) {
@@ -277,7 +391,7 @@ void JsonValue::DumpTo(std::string& out, int indent, int depth) const {
       if (!first) out += ',';
       first = false;
       newline(depth + 1);
-      out += QuoteString(k);
+      AppendQuoted(out, k);
       out += indent > 0 ? ": " : ":";
       v.DumpTo(out, indent, depth + 1);
     }

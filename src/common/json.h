@@ -1,11 +1,12 @@
 #ifndef BLOCKOPTR_COMMON_JSON_H_
 #define BLOCKOPTR_COMMON_JSON_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -20,8 +21,40 @@ namespace blockoptr {
 class JsonValue {
  public:
   using Array = std::vector<JsonValue>;
-  // std::map keeps key order deterministic for golden-file tests.
-  using Object = std::map<std::string, JsonValue>;
+
+  /// Object members, kept sorted by key in one flat vector so output is in
+  /// key order (deterministic for golden-file tests) without a tree node
+  /// per member. Unlike std::map, inserting a key may reallocate: it
+  /// invalidates every reference and iterator into the object, so never
+  /// write `obj[a] = obj[b]`.
+  class Object {
+   public:
+    using value_type = std::pair<std::string, JsonValue>;
+    using iterator = std::vector<value_type>::iterator;
+    using const_iterator = std::vector<value_type>::const_iterator;
+
+    Object() = default;
+    /// Members in any order; of duplicate keys the last one wins.
+    explicit Object(std::vector<value_type> members);
+
+    /// The member named `key`, inserted as null if missing. Appending a
+    /// key that sorts after every present key is O(1).
+    JsonValue& operator[](std::string_view key);
+
+    iterator find(std::string_view key);
+    const_iterator find(std::string_view key) const;
+
+    iterator begin() { return members_.begin(); }
+    iterator end() { return members_.end(); }
+    const_iterator begin() const { return members_.begin(); }
+    const_iterator end() const { return members_.end(); }
+    size_t size() const { return members_.size(); }
+    bool empty() const { return members_.empty(); }
+    void reserve(size_t n) { members_.reserve(n); }
+
+   private:
+    std::vector<value_type> members_;
+  };
 
   JsonValue() : value_(nullptr) {}
   JsonValue(std::nullptr_t) : value_(nullptr) {}            // NOLINT
@@ -51,16 +84,19 @@ class JsonValue {
   Object& as_object() { return std::get<Object>(value_); }
 
   /// Object field access; returns a shared null for missing keys.
-  const JsonValue& operator[](const std::string& key) const;
+  const JsonValue& operator[](std::string_view key) const;
 
-  /// Serializes to compact JSON (no whitespace).
+  /// Serializes to compact JSON (no whitespace). Non-finite numbers, which
+  /// JSON cannot represent, serialize as null.
   std::string Dump() const;
 
   /// Serializes with 2-space indentation.
   std::string DumpPretty() const;
 
-  /// Parses a JSON document. Numbers are stored as doubles.
+  /// Parses a JSON document. Numbers are stored as doubles. Documents
+  /// nested deeper than kMaxParseDepth arrays/objects are rejected.
   static Result<JsonValue> Parse(std::string_view text);
+  static constexpr int kMaxParseDepth = 512;
 
   /// Escapes a string for embedding in JSON (without surrounding quotes
   /// added — the quotes are included in the return value).

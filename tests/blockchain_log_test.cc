@@ -156,6 +156,37 @@ TEST(LogExportTest, ParseRejectsMalformedDocuments) {
   EXPECT_FALSE(ParseLogJson(*bad).ok());
 }
 
+TEST(LogExportTest, ParseNamesTheEntryAndFieldThatIsMissingOrMistyped) {
+  auto expect_error = [](const JsonValue& json, const std::string& entry,
+                         const std::string& field) {
+    auto log = ParseLogJson(json);
+    ASSERT_FALSE(log.ok());
+    EXPECT_TRUE(log.status().IsInvalidArgument()) << log.status();
+    EXPECT_NE(log.status().message().find(entry), std::string::npos)
+        << log.status();
+    EXPECT_NE(log.status().message().find(field), std::string::npos)
+        << log.status();
+  };
+  auto empty_entry = JsonValue::Parse("{\"entries\":[{}]}");
+  ASSERT_TRUE(empty_entry.ok());
+  expect_error(*empty_entry, "log entry 0", "activity");
+
+  BlockchainLogEntry e;
+  e.activity = "Put";
+  e.writes = {{"k", "v"}};
+  JsonValue json = LogToJson(BlockchainLog({e, e}));
+  ASSERT_TRUE(ParseLogJson(json).ok());
+  JsonValue::Object& second =
+      json.as_object()["entries"].as_array()[1].as_object();
+  second["tx_id"] = JsonValue("x");
+  expect_error(json, "log entry 1", "tx_id");
+  second["tx_id"] = JsonValue(-1);
+  expect_error(json, "log entry 1", "tx_id");
+  second["tx_id"] = JsonValue(7);
+  second["writes"].as_array()[0].as_object()["value"] = JsonValue(1);
+  expect_error(json, "log entry 1", "writes");
+}
+
 TEST(LogEntryTest, KeyIdViewsMirrorStringAccessors) {
   BlockchainLogEntry e;
   e.read_keys = {"logidv~r", "logidv~shared"};

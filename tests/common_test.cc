@@ -362,6 +362,40 @@ TEST(JsonTest, ParseErrors) {
   EXPECT_FALSE(JsonValue::Parse("nul").ok());
 }
 
+TEST(JsonTest, ObjectKeepsMembersSortedAndUnique) {
+  JsonValue::Object obj;
+  obj["b"] = JsonValue(2);
+  obj["d"] = JsonValue(4);
+  obj["a"] = JsonValue(1);
+  obj["c"] = JsonValue(3);
+  obj["b"] = JsonValue(20);
+  EXPECT_EQ(obj.size(), 4u);
+  EXPECT_EQ(JsonValue(obj).Dump(), "{\"a\":1,\"b\":20,\"c\":3,\"d\":4}");
+  ASSERT_NE(obj.find("c"), obj.end());
+  EXPECT_EQ(obj.find("c")->second.as_number(), 3);
+  EXPECT_EQ(obj.find("e"), obj.end());
+  // The parser sorts members once; of duplicate keys the last one wins.
+  auto parsed = JsonValue::Parse("{\"z\":1,\"a\":2,\"m\":3,\"a\":4}");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->Dump(), "{\"a\":4,\"m\":3,\"z\":1}");
+}
+
+TEST(JsonTest, DeepNestingIsAnErrorNotACrash) {
+  // The parser recurses once per level; a million levels would overflow
+  // the stack without the depth cap.
+  for (const std::string& open : {std::string("["), std::string("{\"k\":")}) {
+    std::string deep;
+    for (int i = 0; i < 1000000; ++i) deep += open;
+    auto parsed = JsonValue::Parse(deep);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << parsed.status();
+  }
+  const int max = JsonValue::kMaxParseDepth;
+  const std::string at_cap = std::string(max, '[') + std::string(max, ']');
+  EXPECT_TRUE(JsonValue::Parse(at_cap).ok());
+  EXPECT_FALSE(JsonValue::Parse("[" + at_cap + "]").ok());
+}
+
 TEST(JsonTest, PrettyPrintIndents) {
   auto parsed = JsonValue::Parse("{\"a\":[1]}");
   ASSERT_TRUE(parsed.ok());

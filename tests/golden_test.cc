@@ -1,4 +1,5 @@
-// Golden-file regression test for the Table 3 recommendation output.
+// Golden-file regression tests for the Table 3 recommendation output and
+// the bytes of the log exports.
 //
 // The paper's headline artifact is the mapping "experiment -> which of the
 // nine optimizations BlockOptR recommends" (Table 3). This test renders
@@ -6,19 +7,27 @@
 // for the full experiment set and compares it line-for-line against
 // tests/golden/table3_recommendations.txt. Any change to the simulator,
 // the metrics pipeline, or the detection rules that shifts a
-// recommendation shows up as a readable diff here.
+// recommendation shows up as a readable diff here. The published
+// artefacts (blockchain log as JSON/CSV, event log as XES) are pinned
+// byte for byte the same way.
 //
 // To regenerate after an intentional change:
 //   BLOCKOPTR_REGEN_GOLDEN=1 ./build/tests/golden_test
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "blockopt/eventlog/event_log.h"
+#include "blockopt/eventlog/xes_export.h"
+#include "blockopt/log/export.h"
 #include "blockopt/log/preprocess.h"
 #include "blockopt/recommend/recommender.h"
 #include "blockopt/recommend/report.h"
@@ -155,6 +164,144 @@ TEST(GoldenTest, FaultRobustnessMatrixMatchesGoldenFile) {
       "# Regenerate: BLOCKOPTR_REGEN_GOLDEN=1 ./build/tests/golden_test\n" +
       FormatRobustnessMatrix(def.label, *results);
   CompareAgainstGolden(actual, GoldenPath("fault_robustness.txt"));
+}
+
+struct LogExports {
+  std::string json;
+  std::string csv;
+  std::string xes;
+};
+
+/// The three published artefacts, rendered as `blockoptr run --out-json
+/// --out-log --out-xes` renders them.
+LogExports RenderLogExports(const BlockchainLog& log, const EventLog& events) {
+  LogExports e;
+  e.json = LogToJson(log).DumpPretty();
+  std::ostringstream csv;
+  WriteLogCsv(log, csv);
+  e.csv = csv.str();
+  std::ostringstream xes;
+  WriteXes(events, xes);
+  e.xes = xes.str();
+  return e;
+}
+
+/// Hand-built entries whose strings hit every escaping rule of the three
+/// writers: CSV quoting (`,` `"` newline), JSON escapes (quote, backslash,
+/// tab, a raw control byte) and XML entities (`<` `>` `&` `'` `"`), plus a
+/// non-ASCII byte that all three pass through. The numbers cover -0.0,
+/// fractions, integers at and above 1e15, and an XES timestamp whose
+/// milliseconds round up to 1000.
+BlockchainLog HandBuiltLog() {
+  const std::string case1 = "case,1 'caf\xc3\xa9'";
+  std::vector<BlockchainLogEntry> entries(3);
+
+  BlockchainLogEntry& a = entries[0];
+  a.client_timestamp = -0.0;
+  a.activity = "Transfer<&>";
+  a.args = {case1, "say \"hi\"\nbye"};
+  a.endorsers = {"Org1", "Org2"};
+  a.invoker_client = "client\\0";
+  a.invoker_org = "Org1";
+  a.read_keys = {"cc~a,b", "cc~\x1f"};
+  a.writes = {{"cc~a,b", "line1\nline2"}, {"cc~t", "tab\there"}};
+  a.status = TxStatus::kValid;
+  a.tx_type = TxType::kUpdate;
+  a.commit_order = 0;
+  a.chaincode = "cc";
+  a.tx_id = 1001;
+  a.block_num = 1;
+  a.tx_pos = 0;
+  a.commit_timestamp = 1.0000005;
+
+  BlockchainLogEntry& b = entries[1];
+  b.client_timestamp = 1234.5678901;
+  b.activity = "Audit \"q\"";
+  b.args = {case1};
+  b.endorsers = {"Org2"};
+  b.invoker_client = "client1";
+  b.invoker_org = "Org2";
+  b.read_keys = {"cc~k1"};
+  b.delete_keys = {"cc~old", "cc~x|y"};
+  b.range_bounds = {{"cc~k0", "cc~k9"}};
+  b.status = TxStatus::kPhantomReadConflict;
+  b.tx_type = TxType::kRangeRead;
+  b.commit_order = 1;
+  b.chaincode = "cc";
+  b.tx_id = 12345678901234567ULL;
+  b.block_num = 1;
+  b.tx_pos = 1;
+  b.commit_timestamp = 1.9996;
+
+  BlockchainLogEntry& c = entries[2];
+  c.client_timestamp = 1e15 + 0.5;
+  c.activity = "Pay";
+  c.args = {"<case2>", ""};
+  c.endorsers = {};
+  c.invoker_client = "it's";
+  c.invoker_org = "Org3";
+  c.writes = {{"cc~=", "a=b|c"}};
+  c.status = TxStatus::kMvccReadConflict;
+  c.tx_type = TxType::kWrite;
+  c.commit_order = 2;
+  c.chaincode = "cc";
+  c.tx_id = 1000000000000000ULL;
+  c.block_num = 2;
+  c.tx_pos = 0;
+  c.commit_timestamp = 90061.25;
+  return BlockchainLog(std::move(entries));
+}
+
+TEST(GoldenTest, HandBuiltLogExportsMatchGoldenFiles) {
+  const BlockchainLog log = HandBuiltLog();
+  EventLogOptions options;
+  options.case_arg_index = 0;
+  auto events = EventLog::FromBlockchainLog(log, options);
+  ASSERT_TRUE(events.ok()) << events.status();
+  const LogExports e = RenderLogExports(log, *events);
+  CompareAgainstGolden(e.json, GoldenPath("log_export.json"));
+  CompareAgainstGolden(e.csv, GoldenPath("log_export.csv"));
+  CompareAgainstGolden(e.xes, GoldenPath("log_export.xes"));
+}
+
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(GoldenTest, SeededRunLogExportDigestsMatchGoldenFile) {
+  // A whole simulated run is too large to pin as text; its exports are
+  // pinned by size and FNV-1a-64 digest instead.
+  SyntheticConfig workload;
+  workload.type = SyntheticWorkloadType::kUniform;
+  workload.num_txs = kTxsPerExperiment;
+  workload.seed = 7;
+  NetworkConfig network = NetworkConfig::Defaults();
+  network.seed = 48;
+  auto out = RunExperiment(MakeSyntheticExperiment(workload, network));
+  ASSERT_TRUE(out.ok()) << out.status();
+  const BlockchainLog log = ExtractBlockchainLog(out->ledger);
+  auto events = EventLog::FromBlockchainLog(log, EventLogOptions{});
+  ASSERT_TRUE(events.ok()) << events.status();
+  const LogExports e = RenderLogExports(log, *events);
+
+  std::string actual =
+      "# Golden log-export digests (" + std::to_string(kTxsPerExperiment) +
+      " txs, uniform, seed 7).\n"
+      "# Regenerate: BLOCKOPTR_REGEN_GOLDEN=1 ./build/tests/golden_test\n";
+  const std::pair<const char*, const std::string*> exports[] = {
+      {"json", &e.json}, {"csv", &e.csv}, {"xes", &e.xes}};
+  for (const auto& [name, text] : exports) {
+    char line[96];
+    std::snprintf(line, sizeof(line), "%s bytes=%zu fnv1a64=%016" PRIx64 "\n",
+                  name, text->size(), Fnv1a64(*text));
+    actual += line;
+  }
+  CompareAgainstGolden(actual, GoldenPath("log_export_digests.txt"));
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -125,11 +127,35 @@ TEST(SerializationProperty, CsvRoundTripsRandomRows) {
   }
 }
 
+/// Doubles of every shape Dump must spell: fractions, integers on both
+/// sides of the 1e15 integer-format cutoff, any exponent, -0.0, NaN and
+/// ±inf (the last two have no JSON spelling and must come out as null).
+double RandomDouble(Rng& rng) {
+  switch (rng.NextBelow(7)) {
+    case 0:
+      return (rng.NextDouble() - 0.5) * 1e4;
+    case 1:
+      return std::floor(1e15 * (0.5 + rng.NextDouble()));
+    case 2:
+      return std::ldexp(rng.NextDouble() - 0.5,
+                        static_cast<int>(rng.NextInRange(-1070, 1020)));
+    case 3:
+      return -0.0;
+    case 4:
+      return std::numeric_limits<double>::quiet_NaN();
+    case 5:
+      return std::numeric_limits<double>::infinity();
+    default:
+      return -std::numeric_limits<double>::infinity();
+  }
+}
+
 JsonValue RandomJson(Rng& rng, int depth) {
   switch (depth <= 0 ? rng.NextBelow(3) : rng.NextBelow(5)) {
     case 0:
       return JsonValue(RandomField(rng));
     case 1:
+      if (rng.NextBool(0.5)) return JsonValue(RandomDouble(rng));
       return JsonValue(static_cast<int64_t>(rng.NextInRange(-5000, 5000)));
     case 2:
       return rng.NextBool(0.5) ? JsonValue(true) : JsonValue(nullptr);

@@ -313,11 +313,13 @@ TEST(SimulatorTest, StationCallbacksAreMovedNotCopied) {
 // stored in the old std::function-based event).
 TEST(SimulatorTest, MoveOnlyCallbacksAreSupported) {
   Simulator sim;
-  auto flag = std::make_unique<bool>(false);
-  bool* raw = flag.get();
-  sim.ScheduleAt(1.0, [flag = std::move(flag)]() { *flag = true; });
+  // The callback owns the unique_ptr and is destroyed once it fires, so
+  // the flag it sets must live outside it.
+  bool fired = false;
+  auto flag = std::make_unique<bool*>(&fired);
+  sim.ScheduleAt(1.0, [flag = std::move(flag)]() { **flag = true; });
   sim.Run();
-  EXPECT_TRUE(*raw);
+  EXPECT_TRUE(fired);
 }
 
 TEST(SimulatorTest, QueuePeakTracksHighWaterMark) {

@@ -13,6 +13,7 @@
 //   blockoptr run --workload=synthetic --orgs=4 --policy=P1 --autotune
 //   blockoptr sweep --set=table3 --jobs=0
 //   blockoptr sweep --block-counts=50,300,1000 --jobs=4
+#include <concepts>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -303,11 +304,23 @@ Result<ExperimentConfig> BuildExperiment(const CliArgs& args) {
   return cfg;
 }
 
-Status WriteFileOrFail(const std::string& path, const std::string& content) {
+/// Opens `path`, lets `write` fill it and flushes it. If the file cannot be
+/// opened or any write fails (a full disk, say), prints
+/// "error: cannot write '<path>'" and returns false.
+template <typename WriteFn>
+  requires std::invocable<WriteFn&, std::ostream&>
+bool WriteFileOrFail(const std::string& path, WriteFn&& write) {
   std::ofstream out(path);
-  if (!out) return Status::Internal("cannot open '" + path + "' for writing");
-  out << content;
-  return Status::OK();
+  if (out) write(out);
+  if (!out.flush()) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+bool WriteFileOrFail(const std::string& path, const std::string& content) {
+  return WriteFileOrFail(path, [&](std::ostream& out) { out << content; });
 }
 
 /// Whether the run needs telemetry, and with which aspects.
@@ -601,11 +614,7 @@ int MultiChannelRunCommand(const CliArgs& args, const ExperimentConfig& cfg,
         if (ch.stream) {
           snapshot.as_object()["stream"] = StreamStateJson(*ch.stream);
         }
-        Status st = WriteFileOrFail(path, snapshot.DumpPretty());
-        if (!st.ok()) {
-          std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-          return 1;
-        }
+        if (!WriteFileOrFail(path, snapshot.DumpPretty())) return 1;
         std::printf("wrote metrics snapshot: %s\n", path.c_str());
       }
       if (args.Has("prom-out")) {
@@ -654,21 +663,15 @@ int MultiChannelRunCommand(const CliArgs& args, const ExperimentConfig& cfg,
     }
     if (args.Has("out-log")) {
       std::string path = SuffixedPath(args.Get("out-log", ""), c);
-      std::ofstream f(path);
-      if (!f) {
-        std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
+      if (!WriteFileOrFail(path,
+                           [&](std::ostream& f) { WriteLogCsv(logs[c], f); })) {
         return 1;
       }
-      WriteLogCsv(logs[c], f);
       std::printf("wrote blockchain log CSV: %s\n", path.c_str());
     }
     if (args.Has("out-json")) {
       std::string path = SuffixedPath(args.Get("out-json", ""), c);
-      Status st = WriteFileOrFail(path, LogToJson(logs[c]).DumpPretty());
-      if (!st.ok()) {
-        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-        return 1;
-      }
+      if (!WriteFileOrFail(path, LogToJson(logs[c]).DumpPretty())) return 1;
       std::printf("wrote blockchain log JSON: %s\n", path.c_str());
     }
     if (args.Has("out-xes") || args.Has("mine") || args.Has("out-dot")) {
@@ -680,12 +683,9 @@ int MultiChannelRunCommand(const CliArgs& args, const ExperimentConfig& cfg,
       }
       if (args.Has("out-xes")) {
         std::string path = SuffixedPath(args.Get("out-xes", ""), c);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
+        if (!WriteFileOrFail(path, [&](std::ostream& f) { WriteXes(*ev, f); })) {
           return 1;
         }
-        WriteXes(*ev, f);
         std::printf("wrote XES event log: %s\n", path.c_str());
       }
       if (args.Has("mine") || args.Has("out-dot")) {
@@ -700,11 +700,7 @@ int MultiChannelRunCommand(const CliArgs& args, const ExperimentConfig& cfg,
         }
         if (args.Has("out-dot")) {
           std::string path = SuffixedPath(args.Get("out-dot", ""), c);
-          Status st = WriteFileOrFail(path, PetriNetToDot(net));
-          if (!st.ok()) {
-            std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-            return 1;
-          }
+          if (!WriteFileOrFail(path, PetriNetToDot(net))) return 1;
           std::printf("wrote DOT model: %s\n", path.c_str());
         }
       }
@@ -839,10 +835,7 @@ int RunCommand(const CliArgs& args) {
     if (out->stream) {
       snapshot.as_object()["stream"] = StreamStateJson(*out->stream);
     }
-    Status st =
-        WriteFileOrFail(args.Get("metrics-out", ""), snapshot.DumpPretty());
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    if (!WriteFileOrFail(args.Get("metrics-out", ""), snapshot.DumpPretty())) {
       return 1;
     }
     std::printf("wrote metrics snapshot: %s\n",
@@ -890,20 +883,16 @@ int RunCommand(const CliArgs& args) {
                 args.Get("report-out", "").c_str());
   }
   if (args.Has("out-log")) {
-    std::ofstream f(args.Get("out-log", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --out-log\n");
+    if (!WriteFileOrFail(args.Get("out-log", ""),
+                         [&](std::ostream& f) { WriteLogCsv(log, f); })) {
       return 1;
     }
-    WriteLogCsv(log, f);
     std::printf("wrote blockchain log CSV: %s\n",
                 args.Get("out-log", "").c_str());
   }
   if (args.Has("out-json")) {
-    Status st = WriteFileOrFail(args.Get("out-json", ""),
-                                LogToJson(log).DumpPretty());
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    if (!WriteFileOrFail(args.Get("out-json", ""),
+                         LogToJson(log).DumpPretty())) {
       return 1;
     }
     std::printf("wrote blockchain log JSON: %s\n",
@@ -921,12 +910,10 @@ int RunCommand(const CliArgs& args) {
     events = std::move(*ev);
   }
   if (args.Has("out-xes")) {
-    std::ofstream f(args.Get("out-xes", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --out-xes\n");
+    if (!WriteFileOrFail(args.Get("out-xes", ""),
+                         [&](std::ostream& f) { WriteXes(*events, f); })) {
       return 1;
     }
-    WriteXes(*events, f);
     std::printf("wrote XES event log: %s\n", args.Get("out-xes", "").c_str());
   }
   if (args.Has("mine") || args.Has("out-dot")) {
@@ -939,9 +926,7 @@ int RunCommand(const CliArgs& args) {
                   static_cast<unsigned long long>(fit.traces_replayed));
     }
     if (args.Has("out-dot")) {
-      Status st = WriteFileOrFail(args.Get("out-dot", ""), PetriNetToDot(net));
-      if (!st.ok()) {
-        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+      if (!WriteFileOrFail(args.Get("out-dot", ""), PetriNetToDot(net))) {
         return 1;
       }
       std::printf("wrote DOT model: %s\n", args.Get("out-dot", "").c_str());
@@ -1100,11 +1085,7 @@ int SweepCommand(const CliArgs& args) {
           snapshot.as_object()["stream"] =
               StreamStateJson(*outputs[i]->stream);
         }
-        Status st = WriteFileOrFail(path, snapshot.DumpPretty());
-        if (!st.ok()) {
-          std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-          return 1;
-        }
+        if (!WriteFileOrFail(path, snapshot.DumpPretty())) return 1;
         std::fprintf(stderr, "wrote metrics snapshot: %s\n", path.c_str());
       }
       if (args.Has("prom-out")) {

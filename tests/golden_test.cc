@@ -9,16 +9,20 @@
 // the metrics pipeline, or the detection rules that shifts a
 // recommendation shows up as a readable diff here. The published
 // artefacts (blockchain log as JSON/CSV, event log as XES) are pinned
-// byte for byte the same way.
+// byte for byte the same way, and so are the `blockoptr` CLI's stdout and
+// export files for a single-channel run, a sharded run and a sweep.
 //
 // To regenerate after an intentional change:
 //   BLOCKOPTR_REGEN_GOLDEN=1 ./build/tests/golden_test
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -302,6 +306,91 @@ TEST(GoldenTest, SeededRunLogExportDigestsMatchGoldenFile) {
     actual += line;
   }
   CompareAgainstGolden(actual, GoldenPath("log_export_digests.txt"));
+}
+
+// The CLI runs below are pinned as the binary renders them: stdout
+// verbatim, then the size and digest of every file written into a fresh
+// working directory (the file flags take relative paths).
+
+/// Every file export of `blockoptr run`, plus --mine.
+constexpr const char* kRunExportFlags =
+    "--mine --trace-out=trace.json --trace-csv=trace.csv "
+    "--txtrace-out=txtrace.json --metrics-out=metrics.json "
+    "--prom-out=metrics.prom --report-out=report.html --out-log=log.csv "
+    "--out-json=log.json --out-xes=log.xes --out-dot=model.dot";
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Runs `blockoptr <args>` in a fresh temporary directory and renders the
+/// golden text: a "files" section (name, bytes, FNV-1a-64 per file, sorted
+/// by name) and a verbatim "stdout" section.
+std::string RenderCliRun(const std::string& args) {
+  namespace fs = std::filesystem;
+  std::string root =
+      (fs::temp_directory_path() / "blockoptr-cli-golden-XXXXXX").string();
+  if (mkdtemp(root.data()) == nullptr) {
+    ADD_FAILURE() << "cannot create a temporary directory";
+    return "";
+  }
+  const fs::path dir = fs::path(root) / "out";
+  fs::create_directory(dir);
+  const std::string command = "cd '" + dir.string() + "' && '" +
+                              BLOCKOPTR_CLI_PATH + "' " + args +
+                              " > ../stdout.txt 2> ../stderr.txt";
+  const int status = std::system(command.c_str());
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << command << "\n"
+      << ReadFile(fs::path(root) / "stderr.txt");
+
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  std::string golden =
+      "# Golden CLI output: blockoptr " + args +
+      "\n# Regenerate: BLOCKOPTR_REGEN_GOLDEN=1 ./build/tests/golden_test\n"
+      "-- files --\n";
+  for (const auto& name : names) {
+    const std::string bytes = ReadFile(dir / name);
+    char line[160];
+    std::snprintf(line, sizeof(line), "%s bytes=%zu fnv1a64=%016" PRIx64 "\n",
+                  name.c_str(), bytes.size(), Fnv1a64(bytes));
+    golden += line;
+  }
+  golden += "-- stdout --\n" + ReadFile(fs::path(root) / "stdout.txt");
+  fs::remove_all(root);
+  return golden;
+}
+
+TEST(GoldenTest, CliSingleChannelRunMatchesGoldenFile) {
+  CompareAgainstGolden(
+      RenderCliRun(std::string("run --txs=400 --txtrace --stream-analysis ") +
+                   kRunExportFlags),
+      GoldenPath("cli_run.txt"));
+}
+
+TEST(GoldenTest, CliShardedRunMatchesGoldenFile) {
+  CompareAgainstGolden(
+      RenderCliRun(std::string("run --txs=400 --channels=2 --sim-threads=2 "
+                               "'--faults=leader-crash@t=0.5,dur=0.5' "
+                               "--autotune --txtrace --stream-analysis ") +
+                   kRunExportFlags),
+      GoldenPath("cli_run_channels.txt"));
+}
+
+TEST(GoldenTest, CliSweepMatchesGoldenFile) {
+  CompareAgainstGolden(
+      RenderCliRun("sweep --rates=200,400 --txs=300 --jobs=2 --txtrace "
+                   "--stream-analysis --trace-out=trace.json "
+                   "--txtrace-out=txtrace.json --metrics-out=metrics.json "
+                   "--prom-out=metrics.prom --report-out=report.html"),
+      GoldenPath("cli_sweep.txt"));
 }
 
 }  // namespace

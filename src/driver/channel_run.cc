@@ -36,6 +36,12 @@ Result<std::unique_ptr<ChannelRun>> ChannelRun::Create(
 }
 
 Status ChannelRun::Setup(const ExperimentConfig& config) {
+  if (config.network.num_orgs < 1) {
+    return Status::InvalidArgument("the network needs at least one "
+                                   "organization (num_orgs is " +
+                                   std::to_string(config.network.num_orgs) +
+                                   ")");
+  }
   max_sim_time_ = config.max_sim_time;
   faults_enabled_ = config.faults.enabled();
   base_network_config_ = config.network;
@@ -150,20 +156,6 @@ Status ChannelRun::Setup(const ExperimentConfig& config) {
     // The continuous monitor: one self-re-arming tick per period. Started
     // after network setup so the first window covers real run time.
     output_.telemetry->sampler()->Start();
-  }
-  return Status::OK();
-}
-
-Status ChannelRun::RunToCompletion() {
-  while (completed_ < total_) {
-    if (!sim_.Step()) {
-      return Status::Internal(
-          "simulation drained before all transactions completed (" +
-          std::to_string(completed_) + "/" + std::to_string(total_) + ")");
-    }
-    if (sim_.Now() > max_sim_time_) {
-      return Status::Internal("simulation exceeded max_sim_time");
-    }
   }
   return Status::OK();
 }

@@ -2,11 +2,11 @@
 #define BLOCKOPTR_DRIVER_CHANNEL_RUN_H_
 
 // One channel's live experiment: the setup / step / finish internals of
-// RunExperiment, factored so the single-channel path and the multi-channel
-// sharded driver share one code path. A ChannelRun owns the simulator, the
-// Fabric network, the prepared schedule, and the output under construction;
-// it is also a sim::Shard, so the shard runner can advance it in epoch
-// lockstep next to its sibling channels.
+// RunExperiment, shared by the single-channel run (one channel, one
+// unbounded epoch) and the multi-channel sharded driver. A ChannelRun owns
+// the simulator, the Fabric network, the prepared schedule, and the output
+// under construction; it is also a sim::Shard, so the shard runner can
+// advance it in epoch lockstep next to its sibling channels.
 
 #include <memory>
 
@@ -25,19 +25,19 @@ class ChannelRun : public Shard {
   /// installed, state seeded, scheduler/telemetry/stream attached, the
   /// prepared schedule sitting in the event queue, faults armed, network
   /// started, sampler ticking. After Create the channel only needs to be
-  /// stepped (RunToCompletion or AdvanceUntil) and Finished.
+  /// stepped (AdvanceUntil) and Finished. Fails on a network without
+  /// organizations, an unknown contract or scheduler, or a schedule that
+  /// references a contract not installed.
   static Result<std::unique_ptr<ChannelRun>> Create(
       const ExperimentConfig& config);
 
   ChannelRun(const ChannelRun&) = delete;
   ChannelRun& operator=(const ChannelRun&) = delete;
 
-  /// The classic single-channel run loop: unbounded Step() until every
-  /// scheduled request committed or early-aborted. Bit-identical to the
-  /// pre-sharding RunExperiment loop (no epoch machinery touches it).
-  Status RunToCompletion();
-
-  // Shard interface (the multi-channel epoch-lockstep path).
+  // Shard interface. AdvanceUntil steps events in queue order until every
+  // scheduled request committed or early-aborted, or the next event lies
+  // beyond `epoch_end`; a single-channel run passes +infinity, so its one
+  // epoch runs the whole experiment.
   Status AdvanceUntil(SimTime epoch_end) override;
   bool done() const override { return completed_ >= total_; }
   SimTime NextTime() const override;

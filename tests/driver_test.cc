@@ -218,6 +218,13 @@ TEST(ExperimentTest, UnknownSchedulerFails) {
   EXPECT_FALSE(out.ok());
 }
 
+TEST(ExperimentTest, NoOrganizationsFails) {
+  ExperimentConfig cfg = SmallExperiment(10);
+  cfg.network.num_orgs = 0;
+  auto out = RunExperiment(cfg);
+  EXPECT_TRUE(out.status().IsInvalidArgument()) << out.status();
+}
+
 TEST(ExperimentTest, FabricPPSchedulerRuns) {
   ExperimentConfig cfg = SmallExperiment();
   cfg.orderer_scheduler = "fabricpp";

@@ -180,9 +180,9 @@ int Usage() {
       "  --block-counts=A,B,...  sweep the orderer batch size\n"
       "  all `run` workload/network/stream flags set the sweep's base\n"
       "  config; --jobs=N picks the worker threads (rows identical for\n"
-      "  every N); --trace-out/--metrics-out/--prom-out/--report-out write\n"
-      "  one suffixed file per sweep point (metrics.json -> metrics-3.json\n"
-      "  for point 3)\n");
+      "  every N); every `run` export flag writes one suffixed file per\n"
+      "  sweep point (metrics.json -> metrics-3.json for point 3), and per\n"
+      "  channel of a sharded point (metrics-3-0.json, metrics-3-1.json)\n");
   return 2;
 }
 
@@ -319,10 +319,6 @@ bool WriteFileOrFail(const std::string& path, WriteFn&& write) {
   return true;
 }
 
-bool WriteFileOrFail(const std::string& path, const std::string& content) {
-  return WriteFileOrFail(path, [&](std::ostream& out) { out << content; });
-}
-
 /// Whether the run needs telemetry, and with which aspects.
 /// Any txtrace flag turns the flight recorder on; --txtrace-out /
 /// --txtrace-ring / --txtrace-window imply --txtrace.
@@ -380,7 +376,7 @@ void PrintStreamSummary(const StreamEngine& stream) {
 }
 
 /// "metrics.json" + index 3 -> "metrics-3.json" (suffix appended when the
-/// basename has no extension). Used by sweep mode's per-point exports.
+/// basename has no extension).
 std::string SuffixedPath(const std::string& path, size_t index) {
   size_t slash = path.find_last_of('/');
   size_t dot = path.find_last_of('.');
@@ -392,8 +388,18 @@ std::string SuffixedPath(const std::string& path, size_t index) {
   return path.substr(0, dot) + suffix + path.substr(dot);
 }
 
-/// The `--apply` what-if pass shared by the single- and multi-channel run
-/// paths: each recommendation alone, then all combined, deltas vs `base`.
+/// `flag`'s path with each of `suffixes` appended in turn: the per-point
+/// and per-channel export names ("metrics.json" + {3, 1} ->
+/// "metrics-3-1.json").
+std::string ExportPath(const CliArgs& args, const char* flag,
+                       const std::vector<size_t>& suffixes) {
+  std::string path = args.Get(flag, "");
+  for (size_t s : suffixes) path = SuffixedPath(path, s);
+  return path;
+}
+
+/// The `--apply` what-if pass: each recommendation alone, then all
+/// combined, deltas vs `base`.
 int ApplyWhatIf(const CliArgs& args, const ExperimentConfig& cfg,
                 const PerformanceReport& base,
                 const std::vector<Recommendation>& recs) {
@@ -438,26 +444,113 @@ int ApplyWhatIf(const CliArgs& args, const ExperimentConfig& cfg,
   return 0;
 }
 
-/// Run-mode output for sharded experiments (`--channels > 1`): per-channel
-/// summaries and bottleneck attribution naming the saturated channel,
-/// whole-experiment recommendations over the aggregated per-channel
-/// metrics, and per-channel suffixed exports ("prom.txt" -> "prom-0.txt"
-/// for channel 0, each Prometheus line labeled channel="N").
-int MultiChannelRunCommand(const CliArgs& args, const ExperimentConfig& cfg,
-                           const ExperimentOutput& out) {
-  std::printf("%s\n", out.report.Summary().c_str());
-  std::printf("per-channel breakdown (%zu channels, sim-threads=%d):\n",
-              out.channels.size(), cfg.sim_threads);
-  for (size_t c = 0; c < out.channels.size(); ++c) {
-    std::printf("  channel %zu: %s\n", c,
-                out.channels[c].report.Summary().c_str());
+/// A run's channels: a sharded run's per-channel outputs, or the run
+/// itself — a single-channel run is its own only channel.
+std::vector<ExperimentOutput*> Channels(ExperimentOutput& out) {
+  std::vector<ExperimentOutput*> channels;
+  if (out.channels.empty()) {
+    channels.push_back(&out);
+  } else {
+    for (auto& ch : out.channels) channels.push_back(&ch);
   }
-  // Per-channel tails survive the merge (channel_tails is captured as
-  // each channel folds in), so a channel whose p99 is far above the
-  // pooled quantile is visible here.
-  if (!out.report.channel_tails().empty()) {
-    std::printf("per-channel tail latency:\n");
+  return channels;
+}
+
+/// BlockOptR's analysis of one experiment, shared by `run` and `sweep`.
+struct Analysis {
+  std::vector<ExperimentOutput*> channels;
+  std::vector<BlockchainLog> logs;  // per channel
+  /// Per channel; set for the channels that recorded telemetry.
+  std::vector<std::optional<BottleneckReport>> bottlenecks;
+  /// The channel whose top station is the most utilized (the saturated
+  /// channel); -1 when no channel sampled any station.
+  int hottest = -1;
+  LogMetrics metrics;  // experiment-level
+  RecommenderOptions options;
+  std::vector<Recommendation> recs;
+};
+
+/// Per channel: blockchain log -> metrics, plus the bottleneck report when
+/// telemetry ran. Several channels' metrics merge into one experiment-level
+/// LogMetrics; then thresholds (auto-tuned on request), the nine rules,
+/// and evidence windows from the hottest channel's telemetry.
+Analysis Analyze(ExperimentOutput& out, bool autotune) {
+  Analysis a;
+  a.channels = Channels(out);
+  std::vector<LogMetrics> per_channel;
+  double hottest_util = -1;
+  for (size_t c = 0; c < a.channels.size(); ++c) {
+    const ExperimentOutput& ch = *a.channels[c];
+    a.logs.push_back(ExtractBlockchainLog(ch.ledger));
+    per_channel.push_back(ComputeMetrics(a.logs.back(), MetricsOptions{}));
+    auto& bottleneck = a.bottlenecks.emplace_back();
+    if (!ch.telemetry) continue;
+    bottleneck = ComputeBottleneckReport(*ch.telemetry, ch.sim_end_time,
+                                         &ch.fault_windows);
+    const StationAttribution* top = bottleneck->Top();
+    if (top != nullptr && top->utilization > hottest_util) {
+      hottest_util = top->utilization;
+      a.hottest = static_cast<int>(c);
+    }
+  }
+  a.metrics = per_channel.size() == 1 ? std::move(per_channel.front())
+                                      : AggregateMetrics(per_channel);
+  if (autotune) a.options = AutoTuneThresholds(a.metrics, a.options);
+  a.recs = Recommend(a.metrics, a.options);
+  if (a.hottest >= 0) {
+    AttachTelemetryEvidence(a.recs, *a.bottlenecks[a.hottest]);
+  }
+  return a;
+}
+
+/// Cross-channel hot-key aggregation: the per-channel space-saving
+/// sketches merge into one experiment-level view (summed counts, union
+/// error bounds), so a key hammered from several channels at once
+/// surfaces even when no single channel ranks it first.
+void PrintCrossChannelHotKeys(const Analysis& a) {
+  std::optional<SpaceSavingTopK> merged;
+  for (const ExperimentOutput* ch : a.channels) {
+    if (!ch->stream) continue;
+    if (!merged) merged.emplace(ch->stream->hot_keys().capacity());
+    merged->Merge(ch->stream->hot_keys());
+  }
+  if (!merged) return;
+  const auto entries = merged->Entries();
+  if (entries.empty()) return;
+  std::printf("cross-channel hot keys (failure-involved, merged sketch):\n");
+  const Interner& interner = GlobalKeyInterner();
+  size_t shown = 0;
+  for (const SpaceSavingTopK::Counter& c : entries) {
+    std::printf("  %-24s count<=%llu (error bound %llu)\n",
+                std::string(interner.KeyForId(c.id)).c_str(),
+                static_cast<unsigned long long>(c.count),
+                static_cast<unsigned long long>(c.error));
+    if (++shown == 8) break;
+  }
+  std::printf("\n");
+}
+
+/// `run`'s summary ahead of the recommendation report. One channel: the
+/// report, faults, per-stage latency and bottleneck tables. Several: the
+/// merged report, per-channel breakdown and tails, faults, per-channel
+/// bottleneck verdicts naming the hottest channel, and the cross-channel
+/// hot keys. Either way, each channel's streaming summary.
+void PrintRunSummary(const ExperimentOutput& out, const Analysis& a,
+                     int sim_threads) {
+  const size_t n = a.channels.size();
+  std::printf("%s\n", out.report.Summary().c_str());
+  if (n > 1) {
+    std::printf("per-channel breakdown (%zu channels, sim-threads=%d):\n", n,
+                sim_threads);
+    for (size_t c = 0; c < n; ++c) {
+      std::printf("  channel %zu: %s\n", c,
+                  a.channels[c]->report.Summary().c_str());
+    }
+    // Per-channel tails survive the merge (channel_tails is captured as
+    // each channel folds in), so a channel whose p99 is far above the
+    // pooled quantile is visible here.
     const auto& tails = out.report.channel_tails();
+    if (!tails.empty()) std::printf("per-channel tail latency:\n");
     for (size_t c = 0; c < tails.size(); ++c) {
       std::printf("  channel %zu: p50=%.3fs p95=%.3fs p99=%.3fs max=%.3fs "
                   "(%llu successful)\n",
@@ -468,275 +561,216 @@ int MultiChannelRunCommand(const CliArgs& args, const ExperimentConfig& cfg,
   }
   std::printf("\n");
   if (!out.fault_windows.empty()) {
-    std::printf("injected faults (per channel):\n");
+    std::printf("injected faults%s:\n", n > 1 ? " (per channel)" : "");
     for (const auto& w : out.fault_windows) {
       std::printf("  %-24s %s\n", w.name.c_str(),
                   FormatEvidenceWindow(w.start, w.end).c_str());
     }
     std::printf("\n");
   }
-
-  // Per-channel bottleneck attribution. The saturated channel is the one
-  // whose hottest station shows the highest utilization.
-  std::vector<BottleneckReport> bottlenecks(out.channels.size());
-  int hottest = -1;
-  double hottest_util = -1;
-  for (size_t c = 0; c < out.channels.size(); ++c) {
-    const auto& ch = out.channels[c];
-    if (!ch.telemetry) continue;
-    bottlenecks[c] = ComputeBottleneckReport(*ch.telemetry, ch.sim_end_time,
-                                             &ch.fault_windows);
-    const auto* top = bottlenecks[c].Top();
-    if (top != nullptr && top->utilization > hottest_util) {
-      hottest_util = top->utilization;
-      hottest = static_cast<int>(c);
+  if (n == 1 && out.telemetry) {
+    const BottleneckReport& bottleneck = *a.bottlenecks.front();
+    std::printf("per-stage latency breakdown (from lifecycle spans):\n%s\n",
+                out.report.StageBreakdownTable().c_str());
+    std::string table = FormatBottleneckTable(bottleneck);
+    if (!table.empty()) {
+      std::printf("bottleneck attribution (sampled every %.2fs):\n%s",
+                  out.telemetry->sampler()->period(), table.c_str());
     }
-  }
-  if (hottest >= 0) {
+    std::printf("=> %s\n\n", bottleneck.summary.c_str());
+  } else if (n > 1 && a.hottest >= 0) {
     std::printf("bottleneck attribution by channel:\n");
-    for (size_t c = 0; c < out.channels.size(); ++c) {
-      if (!out.channels[c].telemetry) continue;
-      std::printf("  channel %zu: %s\n", c, bottlenecks[c].summary.c_str());
+    for (size_t c = 0; c < n; ++c) {
+      if (!a.bottlenecks[c]) continue;
+      std::printf("  channel %zu: %s\n", c, a.bottlenecks[c]->summary.c_str());
     }
+    const BottleneckReport& hottest = *a.bottlenecks[a.hottest];
     std::printf("=> hottest channel: channel %d (%s at %.0f%% "
                 "utilization)\n\n",
-                hottest, bottlenecks[hottest].bottleneck_station.c_str(),
-                100 * hottest_util);
+                a.hottest, hottest.bottleneck_station.c_str(),
+                100 * hottest.Top()->utilization);
   }
-  for (size_t c = 0; c < out.channels.size(); ++c) {
-    if (out.channels[c].stream) {
-      std::printf("channel %zu ", c);
-      PrintStreamSummary(*out.channels[c].stream);
-    }
+  for (size_t c = 0; c < n; ++c) {
+    if (!a.channels[c]->stream) continue;
+    if (n > 1) std::printf("channel %zu ", c);
+    PrintStreamSummary(*a.channels[c]->stream);
   }
+  if (n > 1) PrintCrossChannelHotKeys(a);
+}
 
-  // Cross-channel hot-key aggregation: the per-channel space-saving
-  // sketches merge into one experiment-level view (summed counts, union
-  // error bounds), so a key hammered from several channels at once
-  // surfaces even when no single channel ranks it first.
-  {
-    const StreamEngine* first = nullptr;
-    for (const auto& ch : out.channels) {
-      if (ch.stream) {
-        first = ch.stream.get();
-        break;
-      }
-    }
-    if (first != nullptr) {
-      SpaceSavingTopK merged(first->hot_keys().capacity());
-      for (const auto& ch : out.channels) {
-        if (ch.stream) merged.Merge(ch.stream->hot_keys());
-      }
-      const auto entries = merged.Entries();
-      if (!entries.empty()) {
-        std::printf("cross-channel hot keys (failure-involved, merged "
-                    "sketch):\n");
-        const Interner& interner = GlobalKeyInterner();
-        size_t shown = 0;
-        for (const SpaceSavingTopK::Counter& c : entries) {
-          std::printf("  %-24s count<=%llu (error bound %llu)\n",
-                      std::string(interner.KeyForId(c.id)).c_str(),
-                      static_cast<unsigned long long>(c.count),
-                      static_cast<unsigned long long>(c.error));
-          if (++shown == 8) break;
-        }
-        std::printf("\n");
-      }
-    }
-  }
+/// Where one experiment's exports go and how they are labelled.
+struct ExportTarget {
+  /// Appended to every export path (ExportPath); a sharded experiment's
+  /// channel c adds c.
+  std::vector<size_t> suffixes;
+  /// Set for a channel of a sharded experiment: the Prometheus
+  /// channel="N" label, the metrics-JSON "channel" field and the
+  /// "channel N" prefix of the mining line.
+  std::optional<size_t> channel;
+  std::string html_title;
+  HtmlSummaryRows html_rows;  // leading rows of the HTML summary table
+  bool html_p99 = true;       // whether the table has a p99 latency row
+  /// Progress ("wrote ...", mining) lines: stdout for `run`, stderr for
+  /// `sweep`, whose stdout is only the result table.
+  FILE* progress = stdout;
+};
 
-  // Whole-experiment recommendations: per-channel logs are analyzed
-  // independently, then merged into one experiment-level LogMetrics.
-  std::vector<BlockchainLog> logs;
-  std::vector<LogMetrics> per_channel;
-  logs.reserve(out.channels.size());
-  per_channel.reserve(out.channels.size());
-  for (const auto& ch : out.channels) {
-    logs.push_back(ExtractBlockchainLog(ch.ledger));
-    per_channel.push_back(ComputeMetrics(logs.back(), MetricsOptions{}));
+/// The HTML report's summary table: the target's leading rows, then the
+/// channel's throughput, success rate, latencies and simulated end time.
+HtmlSummaryRows HtmlRows(const ExportTarget& target, ExperimentOutput& ch) {
+  HtmlSummaryRows rows = target.html_rows;
+  char num[64];
+  std::snprintf(num, sizeof(num), "%.1f tps", ch.report.Throughput());
+  rows.emplace_back("throughput", num);
+  std::snprintf(num, sizeof(num), "%.1f%%", 100 * ch.report.SuccessRate());
+  rows.emplace_back("success rate", num);
+  std::snprintf(num, sizeof(num), "%.3f s", ch.report.AvgLatency());
+  rows.emplace_back("avg latency", num);
+  if (target.html_p99) {
+    std::snprintf(num, sizeof(num), "%.3f s", ch.report.LatencyPercentile(99));
+    rows.emplace_back("p99 latency", num);
   }
-  LogMetrics metrics = AggregateMetrics(per_channel);
-  RecommenderOptions options;
-  if (args.Has("autotune")) {
-    options = AutoTuneThresholds(metrics, options);
-    std::printf("auto-tuned thresholds: Rt1=%.0f Et=%.2f It=%.2f\n\n",
-                options.rt1, options.et, options.it);
-  }
-  auto recs = Recommend(metrics, options);
-  if (hottest >= 0) {
-    // Evidence windows come from the saturated channel's telemetry.
-    AttachTelemetryEvidence(recs, bottlenecks[hottest]);
-  }
-  std::printf("%s\n", FormatRecommendationReport(metrics, recs).c_str());
+  std::snprintf(num, sizeof(num), "%.1f s", ch.sim_end_time);
+  rows.emplace_back("sim end time", num);
+  return rows;
+}
 
-  // ---- per-channel exports (path -> path-<channel>) --------------------
-  for (size_t c = 0; c < out.channels.size(); ++c) {
-    const auto& ch = out.channels[c];
-    const std::string tag = std::to_string(c);
-    if (ch.telemetry) {
-      if (args.Has("trace-out")) {
-        std::string path = SuffixedPath(args.Get("trace-out", ""), c);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        ch.telemetry->tracer().WriteChromeTrace(f);
-        std::printf("wrote Chrome trace (open in Perfetto): %s\n",
-                    path.c_str());
-      }
-      if (args.Has("trace-csv")) {
-        std::string path = SuffixedPath(args.Get("trace-csv", ""), c);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        ch.telemetry->tracer().WriteCsv(f);
-        std::printf("wrote span CSV: %s\n", path.c_str());
-      }
-      if (args.Has("txtrace-out") && ch.telemetry->txtrace() != nullptr) {
-        std::string path = SuffixedPath(args.Get("txtrace-out", ""), c);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        WriteTxTraceChromeTrace(ch.telemetry->txtrace()->summary(), f);
-        std::printf("wrote txtrace exemplar chains: %s\n", path.c_str());
-      }
-      if (args.Has("metrics-out")) {
-        std::string path = SuffixedPath(args.Get("metrics-out", ""), c);
-        JsonValue snapshot =
-            TelemetrySnapshotJson(*ch.telemetry, &bottlenecks[c]);
-        snapshot.as_object()["channel"] =
-            JsonValue(static_cast<int64_t>(c));
-        if (ch.stream) {
-          snapshot.as_object()["stream"] = StreamStateJson(*ch.stream);
-        }
-        if (!WriteFileOrFail(path, snapshot.DumpPretty())) return 1;
-        std::printf("wrote metrics snapshot: %s\n", path.c_str());
-      }
-      if (args.Has("prom-out")) {
-        std::string path = SuffixedPath(args.Get("prom-out", ""), c);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        WritePrometheusText(*ch.telemetry, f, tag);
-        if (ch.stream) AppendStreamPrometheus(*ch.stream, f);
-        std::printf("wrote Prometheus exposition: %s\n", path.c_str());
-      }
-      if (args.Has("report-out")) {
-        std::string path = SuffixedPath(args.Get("report-out", ""), c);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        char num[64];
-        HtmlSummaryRows rows;
-        rows.emplace_back("channel",
-                          tag + " of " + std::to_string(out.channels.size()));
-        std::snprintf(num, sizeof(num), "%.1f tps",
-                      ch.report.Throughput());
-        rows.emplace_back("throughput", num);
-        std::snprintf(num, sizeof(num), "%.1f%%",
-                      100 * ch.report.SuccessRate());
-        rows.emplace_back("success rate", num);
-        std::snprintf(num, sizeof(num), "%.3f s", ch.report.AvgLatency());
-        rows.emplace_back("avg latency", num);
-        if (c < out.report.channel_tails().size()) {
-          std::snprintf(num, sizeof(num), "%.3f s",
-                        out.report.channel_tails()[c].p99_s);
-          rows.emplace_back("p99 latency", num);
-        }
-        std::snprintf(num, sizeof(num), "%.1f s", ch.sim_end_time);
-        rows.emplace_back("sim end time", num);
-        WriteHtmlReport(f, "BlockOptR run report: channel " + tag, rows,
-                        *ch.telemetry, bottlenecks[c],
-                        ch.stream ? StreamHtmlSection(*ch.stream)
-                                  : std::string());
-        std::printf("wrote HTML report: %s\n", path.c_str());
-      }
+/// Writes every export flag for one channel output, each file through
+/// WriteFileOrFail. False on the first failure.
+bool WriteChannelExports(const CliArgs& args, ExperimentOutput& ch,
+                         const BlockchainLog& log,
+                         const std::optional<BottleneckReport>& bottleneck,
+                         const ExportTarget& target) {
+  // Writes `flag`'s file with `fill` when the flag is set.
+  auto write = [&](const char* flag, const char* what, auto&& fill) {
+    if (!args.Has(flag)) return true;
+    const std::string path = ExportPath(args, flag, target.suffixes);
+    if (!WriteFileOrFail(path, fill)) return false;
+    std::fprintf(target.progress, "wrote %s: %s\n", what, path.c_str());
+    return true;
+  };
+  if (ch.telemetry) {
+    const Telemetry& t = *ch.telemetry;
+    const bool ok =
+        write("trace-out", "Chrome trace (open in Perfetto)",
+              [&](std::ostream& f) { t.tracer().WriteChromeTrace(f); }) &&
+        write("trace-csv", "span CSV",
+              [&](std::ostream& f) { t.tracer().WriteCsv(f); }) &&
+        (t.txtrace() == nullptr ||
+         write("txtrace-out",
+               target.channel ? "txtrace exemplar chains"
+                              : "txtrace exemplar chains (open in Perfetto)",
+               [&](std::ostream& f) {
+                 WriteTxTraceChromeTrace(t.txtrace()->summary(), f);
+               })) &&
+        write("metrics-out", "metrics snapshot",
+              [&](std::ostream& f) {
+                JsonValue snapshot = TelemetrySnapshotJson(t, &*bottleneck);
+                if (target.channel) {
+                  snapshot.as_object()["channel"] =
+                      JsonValue(static_cast<int64_t>(*target.channel));
+                }
+                if (ch.stream) {
+                  snapshot.as_object()["stream"] =
+                      StreamStateJson(*ch.stream);
+                }
+                f << snapshot.DumpPretty();
+              }) &&
+        write("prom-out", "Prometheus exposition",
+              [&](std::ostream& f) {
+                WritePrometheusText(
+                    t, f,
+                    target.channel ? std::to_string(*target.channel) : "");
+                if (ch.stream) AppendStreamPrometheus(*ch.stream, f);
+              }) &&
+        write("report-out", "HTML report", [&](std::ostream& f) {
+          WriteHtmlReport(
+              f, target.html_title, HtmlRows(target, ch), t, *bottleneck,
+              ch.stream ? StreamHtmlSection(*ch.stream) : std::string());
+        });
+    if (!ok) return false;
+  }
+  if (!write("out-log", "blockchain log CSV",
+             [&](std::ostream& f) { WriteLogCsv(log, f); }) ||
+      !write("out-json", "blockchain log JSON",
+             [&](std::ostream& f) { f << LogToJson(log).DumpPretty(); })) {
+    return false;
+  }
+  if (!args.Has("out-xes") && !args.Has("mine") && !args.Has("out-dot")) {
+    return true;
+  }
+  const std::string channel_prefix =
+      target.channel ? "channel " + std::to_string(*target.channel) + " "
+                     : "";
+  auto events = EventLog::FromBlockchainLog(log, EventLogOptions{});
+  if (!events.ok()) {
+    std::fprintf(stderr, "%sevent-log error: %s\n", channel_prefix.c_str(),
+                 events.status().ToString().c_str());
+    return false;
+  }
+  if (!write("out-xes", "XES event log",
+             [&](std::ostream& f) { WriteXes(*events, f); })) {
+    return false;
+  }
+  if (!args.Has("mine") && !args.Has("out-dot")) return true;
+  PetriNet net = AlphaMiner::Mine(events->Traces());
+  if (args.Has("mine")) {
+    auto fit = ReplayTraces(net, events->Traces());
+    std::fprintf(target.progress,
+                 "%smined Petri net: %zu transitions, %zu places; fitness "
+                 "%.3f over %llu traces\n",
+                 channel_prefix.c_str(), net.num_transitions(),
+                 net.num_places(), fit.Fitness(),
+                 static_cast<unsigned long long>(fit.traces_replayed));
+  }
+  return write("out-dot", "DOT model",
+               [&](std::ostream& f) { f << PetriNetToDot(net); });
+}
+
+/// Writes every export of one analyzed experiment: each channel's files
+/// (channel c of a sharded experiment adds suffix c, its channel label,
+/// ": channel c" to the HTML title and a "channel c of N" row), then, for
+/// several channels, the merged flight-recorder view (count-weighted
+/// quantiles, union exemplars) at the experiment's own --txtrace-out path.
+bool WriteExports(const CliArgs& args, const Analysis& a,
+                  const ExportTarget& experiment) {
+  const size_t n = a.channels.size();
+  for (size_t c = 0; c < n; ++c) {
+    ExportTarget target = experiment;
+    if (n > 1) {
+      target.suffixes.push_back(c);
+      target.channel = c;
+      target.html_title += ": channel " + std::to_string(c);
+      target.html_rows.emplace_back(
+          "channel", std::to_string(c) + " of " + std::to_string(n));
     }
-    if (args.Has("out-log")) {
-      std::string path = SuffixedPath(args.Get("out-log", ""), c);
-      if (!WriteFileOrFail(path,
-                           [&](std::ostream& f) { WriteLogCsv(logs[c], f); })) {
-        return 1;
-      }
-      std::printf("wrote blockchain log CSV: %s\n", path.c_str());
-    }
-    if (args.Has("out-json")) {
-      std::string path = SuffixedPath(args.Get("out-json", ""), c);
-      if (!WriteFileOrFail(path, LogToJson(logs[c]).DumpPretty())) return 1;
-      std::printf("wrote blockchain log JSON: %s\n", path.c_str());
-    }
-    if (args.Has("out-xes") || args.Has("mine") || args.Has("out-dot")) {
-      auto ev = EventLog::FromBlockchainLog(logs[c], EventLogOptions{});
-      if (!ev.ok()) {
-        std::fprintf(stderr, "event-log error (channel %zu): %s\n", c,
-                     ev.status().ToString().c_str());
-        return 1;
-      }
-      if (args.Has("out-xes")) {
-        std::string path = SuffixedPath(args.Get("out-xes", ""), c);
-        if (!WriteFileOrFail(path, [&](std::ostream& f) { WriteXes(*ev, f); })) {
-          return 1;
-        }
-        std::printf("wrote XES event log: %s\n", path.c_str());
-      }
-      if (args.Has("mine") || args.Has("out-dot")) {
-        PetriNet net = AlphaMiner::Mine(ev->Traces());
-        if (args.Has("mine")) {
-          auto fit = ReplayTraces(net, ev->Traces());
-          std::printf("channel %zu mined Petri net: %zu transitions, "
-                      "%zu places; fitness %.3f over %llu traces\n",
-                      c, net.num_transitions(), net.num_places(),
-                      fit.Fitness(),
-                      static_cast<unsigned long long>(fit.traces_replayed));
-        }
-        if (args.Has("out-dot")) {
-          std::string path = SuffixedPath(args.Get("out-dot", ""), c);
-          if (!WriteFileOrFail(path, PetriNetToDot(net))) return 1;
-          std::printf("wrote DOT model: %s\n", path.c_str());
-        }
-      }
+    if (!WriteChannelExports(args, *a.channels[c], a.logs[c],
+                             a.bottlenecks[c], target)) {
+      return false;
     }
   }
-
-  // Experiment-level flight-recorder view: the per-channel summaries merge
-  // into one (count-weighted quantiles, union exemplars), written at the
-  // unsuffixed path alongside the per-channel dumps.
-  if (args.Has("txtrace-out")) {
-    TxTraceSummary merged;
-    bool any = false;
-    for (const auto& ch : out.channels) {
-      if (!ch.telemetry || ch.telemetry->txtrace() == nullptr) continue;
-      if (!any) {
-        merged = ch.telemetry->txtrace()->summary();
-        any = true;
-      } else {
-        merged.Merge(ch.telemetry->txtrace()->summary());
-      }
-    }
-    if (any) {
-      const std::string path = args.Get("txtrace-out", "");
-      std::ofstream f(path);
-      if (!f) {
-        std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-        return 1;
-      }
-      WriteTxTraceChromeTrace(merged, f);
-      std::printf("wrote merged txtrace exemplar chains: %s\n",
-                  path.c_str());
+  if (n == 1 || !args.Has("txtrace-out")) return true;
+  std::optional<TxTraceSummary> merged;
+  for (const ExperimentOutput* ch : a.channels) {
+    if (!ch->telemetry || ch->telemetry->txtrace() == nullptr) continue;
+    const TxTraceSummary& summary = ch->telemetry->txtrace()->summary();
+    if (merged) {
+      merged->Merge(summary);
+    } else {
+      merged = summary;
     }
   }
-
-  if (args.Has("apply")) return ApplyWhatIf(args, cfg, out.report, recs);
-  return 0;
+  if (!merged) return true;
+  const std::string path =
+      ExportPath(args, "txtrace-out", experiment.suffixes);
+  if (!WriteFileOrFail(path, [&](std::ostream& f) {
+        WriteTxTraceChromeTrace(*merged, f);
+      })) {
+    return false;
+  }
+  std::fprintf(experiment.progress,
+               "wrote merged txtrace exemplar chains: %s\n", path.c_str());
+  return true;
 }
 
 int RunCommand(const CliArgs& args) {
@@ -757,184 +791,22 @@ int RunCommand(const CliArgs& args) {
     std::fprintf(stderr, "error: %s\n", out.status().ToString().c_str());
     return 1;
   }
-  if (!out->channels.empty()) {
-    return MultiChannelRunCommand(args, *cfg, *out);
-  }
-  std::printf("%s\n\n", out->report.Summary().c_str());
-  if (!out->fault_windows.empty()) {
-    std::printf("injected faults:\n");
-    for (const auto& w : out->fault_windows) {
-      std::printf("  %-24s %s\n", w.name.c_str(),
-                  FormatEvidenceWindow(w.start, w.end).c_str());
-    }
-    std::printf("\n");
-  }
-  std::optional<BottleneckReport> bottleneck;
-  if (out->telemetry) {
-    std::printf("per-stage latency breakdown (from lifecycle spans):\n%s\n",
-                out->report.StageBreakdownTable().c_str());
-    bottleneck = ComputeBottleneckReport(*out->telemetry, out->sim_end_time,
-                                         &out->fault_windows);
-    std::string table = FormatBottleneckTable(*bottleneck);
-    if (!table.empty()) {
-      std::printf("bottleneck attribution (sampled every %.2fs):\n%s",
-                  out->telemetry->sampler()->period(), table.c_str());
-    }
-    std::printf("=> %s\n\n", bottleneck->summary.c_str());
-  }
-  if (out->stream) PrintStreamSummary(*out->stream);
-
-  BlockchainLog log = ExtractBlockchainLog(out->ledger);
-  LogMetrics metrics = ComputeMetrics(log, MetricsOptions{});
-  RecommenderOptions options;
+  const Analysis a = Analyze(*out, args.Has("autotune"));
+  PrintRunSummary(*out, a, cfg->sim_threads);
   if (args.Has("autotune")) {
-    options = AutoTuneThresholds(metrics, options);
     std::printf("auto-tuned thresholds: Rt1=%.0f Et=%.2f It=%.2f\n\n",
-                options.rt1, options.et, options.it);
+                a.options.rt1, a.options.et, a.options.it);
   }
-  auto recs = Recommend(metrics, options);
-  if (bottleneck) {
-    // Every recommendation cites its observed evidence window.
-    AttachTelemetryEvidence(recs, *bottleneck);
-  }
-  std::printf("%s\n", FormatRecommendationReport(metrics, recs).c_str());
+  std::printf("%s\n", FormatRecommendationReport(a.metrics, a.recs).c_str());
 
-  // ---- exports ---------------------------------------------------------
-  if (args.Has("trace-out")) {
-    std::ofstream f(args.Get("trace-out", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --trace-out\n");
-      return 1;
-    }
-    out->telemetry->tracer().WriteChromeTrace(f);
-    std::printf("wrote Chrome trace (open in Perfetto): %s\n",
-                args.Get("trace-out", "").c_str());
+  ExportTarget target;
+  target.html_title = "BlockOptR run report";
+  if (a.channels.size() == 1) {
+    target.html_rows.emplace_back("transactions",
+                                  std::to_string(cfg->schedule.size()));
   }
-  if (args.Has("trace-csv")) {
-    std::ofstream f(args.Get("trace-csv", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --trace-csv\n");
-      return 1;
-    }
-    out->telemetry->tracer().WriteCsv(f);
-    std::printf("wrote span CSV: %s\n", args.Get("trace-csv", "").c_str());
-  }
-  if (args.Has("txtrace-out") && out->telemetry->txtrace() != nullptr) {
-    std::ofstream f(args.Get("txtrace-out", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --txtrace-out\n");
-      return 1;
-    }
-    WriteTxTraceChromeTrace(out->telemetry->txtrace()->summary(), f);
-    std::printf("wrote txtrace exemplar chains (open in Perfetto): %s\n",
-                args.Get("txtrace-out", "").c_str());
-  }
-  if (args.Has("metrics-out")) {
-    JsonValue snapshot = TelemetrySnapshotJson(
-        *out->telemetry, bottleneck ? &*bottleneck : nullptr);
-    if (out->stream) {
-      snapshot.as_object()["stream"] = StreamStateJson(*out->stream);
-    }
-    if (!WriteFileOrFail(args.Get("metrics-out", ""), snapshot.DumpPretty())) {
-      return 1;
-    }
-    std::printf("wrote metrics snapshot: %s\n",
-                args.Get("metrics-out", "").c_str());
-  }
-  if (args.Has("prom-out")) {
-    std::ofstream f(args.Get("prom-out", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --prom-out\n");
-      return 1;
-    }
-    WritePrometheusText(*out->telemetry, f);
-    if (out->stream) AppendStreamPrometheus(*out->stream, f);
-    std::printf("wrote Prometheus exposition: %s\n",
-                args.Get("prom-out", "").c_str());
-  }
-  if (args.Has("report-out")) {
-    std::ofstream f(args.Get("report-out", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --report-out\n");
-      return 1;
-    }
-    char num[64];
-    HtmlSummaryRows rows;
-    std::snprintf(num, sizeof(num), "%zu", cfg->schedule.size());
-    rows.emplace_back("transactions", num);
-    std::snprintf(num, sizeof(num), "%.1f tps",
-                  out->report.Throughput());
-    rows.emplace_back("throughput", num);
-    std::snprintf(num, sizeof(num), "%.1f%%",
-                  100 * out->report.SuccessRate());
-    rows.emplace_back("success rate", num);
-    std::snprintf(num, sizeof(num), "%.3f s", out->report.AvgLatency());
-    rows.emplace_back("avg latency", num);
-    std::snprintf(num, sizeof(num), "%.3f s",
-                  out->report.LatencyPercentile(99));
-    rows.emplace_back("p99 latency", num);
-    std::snprintf(num, sizeof(num), "%.1f s", out->sim_end_time);
-    rows.emplace_back("sim end time", num);
-    WriteHtmlReport(f, "BlockOptR run report", rows, *out->telemetry,
-                    *bottleneck,
-                    out->stream ? StreamHtmlSection(*out->stream)
-                                : std::string());
-    std::printf("wrote HTML report: %s\n",
-                args.Get("report-out", "").c_str());
-  }
-  if (args.Has("out-log")) {
-    if (!WriteFileOrFail(args.Get("out-log", ""),
-                         [&](std::ostream& f) { WriteLogCsv(log, f); })) {
-      return 1;
-    }
-    std::printf("wrote blockchain log CSV: %s\n",
-                args.Get("out-log", "").c_str());
-  }
-  if (args.Has("out-json")) {
-    if (!WriteFileOrFail(args.Get("out-json", ""),
-                         LogToJson(log).DumpPretty())) {
-      return 1;
-    }
-    std::printf("wrote blockchain log JSON: %s\n",
-                args.Get("out-json", "").c_str());
-  }
-
-  std::optional<EventLog> events;
-  if (args.Has("out-xes") || args.Has("mine") || args.Has("out-dot")) {
-    auto ev = EventLog::FromBlockchainLog(log, EventLogOptions{});
-    if (!ev.ok()) {
-      std::fprintf(stderr, "event-log error: %s\n",
-                   ev.status().ToString().c_str());
-      return 1;
-    }
-    events = std::move(*ev);
-  }
-  if (args.Has("out-xes")) {
-    if (!WriteFileOrFail(args.Get("out-xes", ""),
-                         [&](std::ostream& f) { WriteXes(*events, f); })) {
-      return 1;
-    }
-    std::printf("wrote XES event log: %s\n", args.Get("out-xes", "").c_str());
-  }
-  if (args.Has("mine") || args.Has("out-dot")) {
-    PetriNet net = AlphaMiner::Mine(events->Traces());
-    if (args.Has("mine")) {
-      auto fit = ReplayTraces(net, events->Traces());
-      std::printf("mined Petri net: %zu transitions, %zu places; fitness "
-                  "%.3f over %llu traces\n",
-                  net.num_transitions(), net.num_places(), fit.Fitness(),
-                  static_cast<unsigned long long>(fit.traces_replayed));
-    }
-    if (args.Has("out-dot")) {
-      if (!WriteFileOrFail(args.Get("out-dot", ""), PetriNetToDot(net))) {
-        return 1;
-      }
-      std::printf("wrote DOT model: %s\n", args.Get("out-dot", "").c_str());
-    }
-  }
-
-  // ---- apply: per-recommendation what-if + combined rerun --------------
-  if (args.Has("apply")) return ApplyWhatIf(args, *cfg, out->report, recs);
+  if (!WriteExports(args, a, target)) return 1;
+  if (args.Has("apply")) return ApplyWhatIf(args, *cfg, out->report, a.recs);
   return 0;
 }
 
@@ -1029,110 +901,21 @@ int SweepCommand(const CliArgs& args) {
       return 1;
     }
     const auto& report = outputs[i]->report;
-    std::vector<Recommendation> recs;
-    if (!outputs[i]->channels.empty()) {
-      // Sharded case: aggregate the per-channel logs into one
-      // experiment-level LogMetrics before recommending.
-      std::vector<LogMetrics> per_channel;
-      per_channel.reserve(outputs[i]->channels.size());
-      for (const auto& ch : outputs[i]->channels) {
-        per_channel.push_back(
-            ComputeMetrics(ExtractBlockchainLog(ch.ledger), MetricsOptions{}));
-      }
-      recs = Recommend(AggregateMetrics(per_channel), RecommenderOptions{});
-    } else {
-      recs = RecommendFromLog(ExtractBlockchainLog(outputs[i]->ledger),
-                              RecommenderOptions{});
-    }
+    const Analysis a = Analyze(*outputs[i], /*autotune=*/false);
     std::printf("%-28s %10.1f %8.1f%% %11.3f  %s\n",
                 (*cases)[i].label.c_str(), report.Throughput(),
                 100 * report.SuccessRate(), report.AvgLatency(),
-                RecommendationNames(recs).c_str());
-    // Per-point observability exports ("metrics.json" -> "metrics-3.json"
-    // for point 3). Progress lines go to stderr so stdout stays diffable.
-    if (outputs[i]->telemetry != nullptr) {
-      if (args.Has("trace-out")) {
-        std::string path = SuffixedPath(args.Get("trace-out", ""), i + 1);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        outputs[i]->telemetry->tracer().WriteChromeTrace(f);
-        std::fprintf(stderr, "wrote Chrome trace: %s\n", path.c_str());
-      }
-      if (args.Has("txtrace-out") &&
-          outputs[i]->telemetry->txtrace() != nullptr) {
-        std::string path = SuffixedPath(args.Get("txtrace-out", ""), i + 1);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        WriteTxTraceChromeTrace(outputs[i]->telemetry->txtrace()->summary(),
-                                f);
-        std::fprintf(stderr, "wrote txtrace exemplar chains: %s\n",
-                     path.c_str());
-      }
-      if (args.Has("metrics-out")) {
-        std::string path = SuffixedPath(args.Get("metrics-out", ""), i + 1);
-        BottleneckReport bottleneck = ComputeBottleneckReport(
-            *outputs[i]->telemetry, outputs[i]->sim_end_time,
-            &outputs[i]->fault_windows);
-        JsonValue snapshot =
-            TelemetrySnapshotJson(*outputs[i]->telemetry, &bottleneck);
-        if (outputs[i]->stream) {
-          snapshot.as_object()["stream"] =
-              StreamStateJson(*outputs[i]->stream);
-        }
-        if (!WriteFileOrFail(path, snapshot.DumpPretty())) return 1;
-        std::fprintf(stderr, "wrote metrics snapshot: %s\n", path.c_str());
-      }
-      if (args.Has("prom-out")) {
-        std::string path = SuffixedPath(args.Get("prom-out", ""), i + 1);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        WritePrometheusText(*outputs[i]->telemetry, f);
-        if (outputs[i]->stream) {
-          AppendStreamPrometheus(*outputs[i]->stream, f);
-        }
-        std::fprintf(stderr, "wrote Prometheus exposition: %s\n",
-                     path.c_str());
-      }
-      if (args.Has("report-out")) {
-        std::string path = SuffixedPath(args.Get("report-out", ""), i + 1);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        BottleneckReport bottleneck = ComputeBottleneckReport(
-            *outputs[i]->telemetry, outputs[i]->sim_end_time,
-            &outputs[i]->fault_windows);
-        char num[64];
-        HtmlSummaryRows rows;
-        rows.emplace_back("experiment", (*cases)[i].label);
-        std::snprintf(num, sizeof(num), "%.1f tps", report.Throughput());
-        rows.emplace_back("throughput", num);
-        std::snprintf(num, sizeof(num), "%.1f%%",
-                      100 * report.SuccessRate());
-        rows.emplace_back("success rate", num);
-        std::snprintf(num, sizeof(num), "%.3f s", report.AvgLatency());
-        rows.emplace_back("avg latency", num);
-        std::snprintf(num, sizeof(num), "%.1f s",
-                      outputs[i]->sim_end_time);
-        rows.emplace_back("sim end time", num);
-        WriteHtmlReport(f, "BlockOptR sweep: " + (*cases)[i].label, rows,
-                        *outputs[i]->telemetry, bottleneck,
-                        outputs[i]->stream
-                            ? StreamHtmlSection(*outputs[i]->stream)
-                            : std::string());
-        std::fprintf(stderr, "wrote HTML report: %s\n", path.c_str());
-      }
-    }
+                RecommendationNames(a.recs).c_str());
+    // Point i's exports carry suffix i ("metrics.json" -> "metrics-3.json"
+    // for point 3, "metrics-3-1.json" for channel 1 of a sharded point 3).
+    // Progress lines go to stderr so stdout stays diffable.
+    ExportTarget target;
+    target.suffixes = {i + 1};
+    target.html_title = "BlockOptR sweep: " + (*cases)[i].label;
+    target.html_rows.emplace_back("experiment", (*cases)[i].label);
+    target.html_p99 = false;
+    target.progress = stderr;
+    if (!WriteExports(args, a, target)) return 1;
   }
   return 0;
 }

@@ -657,9 +657,7 @@ bool WriteChannelExports(const CliArgs& args, ExperimentOutput& ch,
         write("trace-csv", "span CSV",
               [&](std::ostream& f) { t.tracer().WriteCsv(f); }) &&
         (t.txtrace() == nullptr ||
-         write("txtrace-out",
-               target.channel ? "txtrace exemplar chains"
-                              : "txtrace exemplar chains (open in Perfetto)",
+         write("txtrace-out", "txtrace exemplar chains (open in Perfetto)",
                [&](std::ostream& f) {
                  WriteTxTraceChromeTrace(t.txtrace()->summary(), f);
                })) &&

@@ -598,7 +598,7 @@ void PrintRunSummary(const ExperimentOutput& out, const Analysis& a,
   if (n > 1) PrintCrossChannelHotKeys(a);
 }
 
-/// Where one experiment's exports go and how they are labelled.
+/// Where one run output's exports go and how they are labelled.
 struct ExportTarget {
   /// Appended to every export path (ExportPath); a sharded experiment's
   /// channel c adds c.
@@ -609,7 +609,7 @@ struct ExportTarget {
   std::optional<size_t> channel;
   std::string html_title;
   HtmlSummaryRows html_rows;  // leading rows of the HTML summary table
-  bool html_p99 = true;       // whether the table has a p99 latency row
+  bool html_p99 = true;       // a p99 latency row (sweep reports have none)
   /// Progress ("wrote ...", mining) lines: stdout for `run`, stderr for
   /// `sweep`, whose stdout is only the result table.
   FILE* progress = stdout;

@@ -38,8 +38,8 @@ ExperimentConfig MakeConfig(int num_txs, bool telemetry, bool txtrace) {
       MakeSyntheticExperiment(wl, NetworkConfig::Defaults());
   cfg.enable_telemetry = telemetry;
   // Off = the causal-tracing profile with the recorder switched back off:
-  // spans/metrics/sampler stay disabled either way, so On - Off isolates
-  // the recorder and Off - Baseline isolates the disabled hook checks.
+  // event metrics and the sampler stay disabled either way, so On - Off
+  // isolates the recorder and Off - Baseline the disabled hook checks.
   cfg.telemetry_options = TelemetryOptions::TxTraceOnly();
   cfg.telemetry_options.txtrace.enabled = txtrace;
   return cfg;

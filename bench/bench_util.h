@@ -25,6 +25,7 @@
 #include "blockopt/recommend/recommender.h"
 #include "blockopt/recommend/report.h"
 #include "telemetry/bottleneck.h"
+#include "telemetry/export.h"
 #include "common/thread_pool.h"
 #include "driver/experiment.h"
 #include "driver/presets.h"
@@ -147,8 +148,9 @@ inline void PrintDelta(const std::string& label,
                                         /*lower_is_better=*/true));
 }
 
-/// Re-runs `cfg` with telemetry enabled and prints the per-stage latency
-/// breakdown derived from lifecycle spans, then the continuous-sampler
+/// Re-runs `cfg` with telemetry enabled and prints the flight recorder's
+/// critical-path table (each stage's share of committed latency, split
+/// into service and wait), then the continuous-sampler
 /// bottleneck attribution (which station saturated, over which evidence
 /// window) and the recommendations with their observed evidence attached.
 /// Kept separate from the figure-producing runs so those stay on the
@@ -163,8 +165,9 @@ inline void PrintStageBreakdown(const ExperimentConfig& cfg,
                  out.status().ToString().c_str());
     return;
   }
-  std::printf("\n%s — per-stage latency breakdown:\n%s", label.c_str(),
-              out->report.StageBreakdownTable().c_str());
+  std::printf("\n%s — critical-path breakdown:\n%s", label.c_str(),
+              FormatCriticalPathTable(out->telemetry->txtrace()->summary())
+                  .c_str());
 
   BottleneckReport bottleneck =
       ComputeBottleneckReport(*out->telemetry, out->sim_end_time);

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "telemetry/trace.h"
-
 namespace blockoptr {
 
 namespace {
@@ -75,7 +73,7 @@ std::string TelemetryEvidenceFor(const Recommendation& rec,
     case RecommendationType::kEndorserRestructuring:
     case RecommendationType::kSmartContractPartitioning: {
       const StationAttribution* st =
-          StationForOrgs(report, trace_category::kEndorse, rec.orgs);
+          StationForOrgs(report, station_stage::kEndorse, rec.orgs);
       if (st != nullptr) {
         return StationEvidence(*st) +
                CriticalPathEvidence(report, st->stage);
@@ -84,7 +82,7 @@ std::string TelemetryEvidenceFor(const Recommendation& rec,
     }
     case RecommendationType::kClientResourceBoost: {
       const StationAttribution* st =
-          StationForOrgs(report, trace_category::kSubmit, rec.orgs);
+          StationForOrgs(report, station_stage::kSubmit, rec.orgs);
       if (st != nullptr) {
         return StationEvidence(*st) +
                CriticalPathEvidence(report, st->stage);
@@ -94,7 +92,7 @@ std::string TelemetryEvidenceFor(const Recommendation& rec,
     case RecommendationType::kBlockSizeAdaptation: {
       const SeriesSummary* fill = FindSeries(report, "orderer.block_fill");
       const StationAttribution* orderer =
-          report.ForStage(trace_category::kOrder);
+          report.ForStage(station_stage::kOrder);
       if (fill != nullptr && orderer != nullptr) {
         std::snprintf(buf, sizeof(buf),
                       "block fill mean %.2f; %s", fill->mean,

@@ -42,6 +42,14 @@ Status ChannelRun::Setup(const ExperimentConfig& config) {
                                    std::to_string(config.network.num_orgs) +
                                    ")");
   }
+  const uint32_t ring = config.telemetry_options.txtrace.ring_capacity;
+  if (config.enable_telemetry && config.telemetry_options.txtrace.enabled &&
+      (ring == 0 || ring > kMaxTxTraceRing)) {
+    return Status::InvalidArgument(
+        "flight-recorder ring capacity must be in [1, " +
+        std::to_string(kMaxTxTraceRing) + "] events (is " +
+        std::to_string(ring) + ")");
+  }
   max_sim_time_ = config.max_sim_time;
   faults_enabled_ = config.faults.enabled();
   base_network_config_ = config.network;
@@ -203,19 +211,6 @@ ExperimentOutput ChannelRun::Finish() {
     output_.telemetry->txtrace()->Finalize(sim_.Now());
   }
   if (output_.telemetry) {
-    if (output_.telemetry->options().tracing) {
-      output_.report.set_stage_breakdown(
-          ComputeStageBreakdown(output_.telemetry->tracer()));
-      // Feed every finished span into a per-stage latency histogram, so
-      // quantiles are also available through the histogram path
-      // (Histogram::Quantile) — e.g. in the Prometheus exposition, where
-      // raw spans do not travel.
-      for (const auto& span : output_.telemetry->tracer().spans()) {
-        output_.telemetry->metrics()
-            .histogram("stage." + span.category + ".seconds")
-            .Observe(span.duration());
-      }
-    }
     // Engine-level gauges: how many events the run cost and how deep the
     // queue got. Both are deterministic per config, so they are safe to
     // snapshot (the sweep determinism harness compares full snapshots).

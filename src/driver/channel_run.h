@@ -26,8 +26,9 @@ class ChannelRun : public Shard {
   /// prepared schedule sitting in the event queue, faults armed, network
   /// started, sampler ticking. After Create the channel only needs to be
   /// stepped (AdvanceUntil) and Finished. Fails on a network without
-  /// organizations, an unknown contract or scheduler, or a schedule that
-  /// references a contract not installed.
+  /// organizations, a flight-recorder ring of 0 or more than
+  /// kMaxTxTraceRing events, an unknown contract or scheduler, or a
+  /// schedule that references a contract not installed.
   static Result<std::unique_ptr<ChannelRun>> Create(
       const ExperimentConfig& config);
 
@@ -42,8 +43,8 @@ class ChannelRun : public Shard {
   bool done() const override { return completed_ >= total_; }
   SimTime NextTime() const override;
 
-  /// Post-run finalization: report finish, stream/sampler finalize, stage
-  /// breakdown, engine gauges, fault windows — then surrenders the output.
+  /// Post-run finalization: report finish, stream/sampler/recorder
+  /// finalize, engine gauges, fault windows — then surrenders the output.
   /// Call exactly once, after the run loop completed without error.
   ExperimentOutput Finish();
 

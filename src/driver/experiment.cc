@@ -1,5 +1,6 @@
 #include "driver/experiment.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "driver/channel_run.h"
@@ -16,6 +17,22 @@ Result<ExperimentOutput> RunExperiment(const ExperimentConfig& config) {
   BLOCKOPTR_RETURN_NOT_OK(
       (*run)->AdvanceUntil(std::numeric_limits<double>::infinity()));
   return (*run)->Finish();
+}
+
+uint64_t TxTraceEventBound(const ExperimentConfig& config) {
+  const uint64_t orgs =
+      static_cast<uint64_t>(std::max(config.network.num_orgs, 0));
+  // Streaming apply submits at most one config transaction per channel.
+  const uint64_t txs = config.schedule.size() + (config.stream.apply ? 1 : 0);
+  uint64_t raft_faults = 0;
+  for (const FaultEvent& f : config.faults.events) {
+    if (f.kind == FaultKind::kLeaderCrash || f.kind == FaultKind::kNodeCrash) {
+      ++raft_faults;
+    }
+  }
+  const uint64_t blocks = txs;  // every block holds a transaction
+  return txs * (7 + 2 * orgs) + blocks * (3 + 2 * orgs) +
+         2 * raft_faults * blocks;
 }
 
 }  // namespace blockoptr

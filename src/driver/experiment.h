@@ -150,6 +150,17 @@ struct ExperimentOutput {
 /// (config, schedule) — including all seeds.
 Result<ExperimentOutput> RunExperiment(const ExperimentConfig& config);
 
+/// Upper bound on the flight-recorder events one channel of `config`
+/// appends, so a ring at least this large keeps the whole run. Per
+/// transaction at most 7 + 2·orgs (submit, proposal, start and done per
+/// endorsing org, collect, assemble, orderer enqueue, block cut, commit);
+/// per block at most 3 + 2·orgs (Raft propose, replicate and commit, start
+/// and done per validating org), with every block holding at least one
+/// transaction; plus one kRaftReplicate per block for each leader election
+/// a Raft crash fault can cause (the crash and the restart), since a new
+/// leader re-proposes the blocks it lacks.
+uint64_t TxTraceEventBound(const ExperimentConfig& config);
+
 }  // namespace blockoptr
 
 #endif  // BLOCKOPTR_DRIVER_EXPERIMENT_H_

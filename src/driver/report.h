@@ -8,7 +8,6 @@
 
 #include "common/stats.h"
 #include "ledger/transaction.h"
-#include "telemetry/telemetry.h"
 
 namespace blockoptr {
 
@@ -43,10 +42,10 @@ class PerformanceReport {
   /// the whole-experiment report from per-channel reports. Counters add,
   /// latency accumulators merge, and the wall span becomes the union
   /// (earliest first send -> latest end time), so Throughput() reflects
-  /// the combined run. Stage breakdowns are per-channel artifacts and are
-  /// not merged. `other`'s tail quantiles are appended to channel_tails()
-  /// (its own when it is a leaf report, its recorded tails when it is
-  /// itself a merged report), so per-channel p99 survives the merge.
+  /// the combined run. `other`'s tail quantiles are appended to
+  /// channel_tails() (its own when it is a leaf report, its recorded tails
+  /// when it is itself a merged report), so per-channel p99 survives the
+  /// merge.
   void Merge(const PerformanceReport& other);
 
   /// One entry per merged-in leaf report, in merge order — for the
@@ -86,20 +85,6 @@ class PerformanceReport {
   /// One-line summary: "success=87.2% tput=261.4tps lat=0.413s ...".
   std::string Summary() const;
 
-  /// Per-stage latency breakdown derived from telemetry spans (empty when
-  /// the run had telemetry disabled).
-  void set_stage_breakdown(std::vector<StageLatency> stages) {
-    stage_breakdown_ = std::move(stages);
-  }
-  const std::vector<StageLatency>& stage_breakdown() const {
-    return stage_breakdown_;
-  }
-
-  /// Fixed-width table of the stage breakdown; "" when none was attached.
-  std::string StageBreakdownTable() const {
-    return FormatStageBreakdownTable(stage_breakdown_);
-  }
-
  private:
   uint64_t total_committed_ = 0;
   uint64_t successful_ = 0;
@@ -112,7 +97,6 @@ class PerformanceReport {
   double first_send_ = 0;
   bool saw_first_ = false;
   double end_time_ = 0;
-  std::vector<StageLatency> stage_breakdown_;
   std::vector<ChannelTail> channel_tails_;
 };
 

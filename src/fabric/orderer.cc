@@ -31,13 +31,6 @@ OrderingService::OrderingService(Simulator* sim, const NetworkConfig& config,
   raft_.set_on_commit([this](uint64_t payload) {
     auto it = inflight_.find(payload);
     if (it == inflight_.end()) return;
-    if (tracer_) {
-      auto sit = raft_spans_.find(payload);
-      if (sit != raft_spans_.end()) {
-        tracer_->End(sit->second);
-        raft_spans_.erase(sit);
-      }
-    }
     Block block = std::move(it->second);
     inflight_.erase(it);
     if (on_block_committed_) on_block_committed_(std::move(block));
@@ -45,7 +38,6 @@ OrderingService::OrderingService(Simulator* sim, const NetworkConfig& config,
 }
 
 void OrderingService::set_telemetry(Telemetry* telemetry) {
-  tracer_ = telemetry ? telemetry->tracing() : nullptr;
   metrics_ = telemetry ? telemetry->event_metrics() : nullptr;
   txtrace_ = telemetry ? telemetry->txtrace() : nullptr;
   raft_.set_metrics(metrics_);
@@ -55,12 +47,6 @@ void OrderingService::set_telemetry(Telemetry* telemetry) {
 void OrderingService::Start() { raft_.Start(); }
 
 void OrderingService::Submit(Transaction tx, uint64_t tx_bytes) {
-  if (tracer_) {
-    // The order span covers orderer queueing, batching wait, and block
-    // cutting: it closes when the transaction's block is cut.
-    order_spans_[tx.tx_id] = tracer_->Begin(
-        trace_category::kOrder, "order", "orderer", tx.tx_id);
-  }
   if (metrics_) {
     metrics_->counter("orderer.txs_submitted_total").Increment();
     metrics_->gauge("orderer.queue_depth").Set(station_.CurrentDelay());
@@ -81,10 +67,6 @@ void OrderingService::Submit(Transaction tx, uint64_t tx_bytes) {
 void OrderingService::SubmitConfig(Transaction tx) {
   tx.is_config = true;
   tx.status = TxStatus::kConfig;
-  if (tracer_) {
-    order_spans_[tx.tx_id] = tracer_->Begin(
-        trace_category::kOrder, "order_config", "orderer", tx.tx_id);
-  }
   if (metrics_) {
     metrics_->counter("orderer.config_txs_total").Increment();
   }
@@ -135,15 +117,6 @@ void OrderingService::CutBlock() {
   block.transactions = std::move(txs);
   ++blocks_cut_;
 
-  if (tracer_) {
-    for (const auto& tx : block.transactions) {
-      auto sit = order_spans_.find(tx.tx_id);
-      if (sit != order_spans_.end()) {
-        tracer_->End(sit->second);
-        order_spans_.erase(sit);
-      }
-    }
-  }
   if (metrics_) {
     metrics_->counter("orderer.blocks_cut_total").Increment();
     metrics_
@@ -153,13 +126,12 @@ void OrderingService::CutBlock() {
   }
 
   uint64_t payload = next_payload_id_++;
-  size_t block_txs = block.transactions.size();
   inflight_.emplace(payload, std::move(block));
 
   // Block assembly/signing occupies the orderer, then the block goes
   // through Raft consensus.
   station_.Submit(latency_.block_overhead_s + extra,
-                  [this, payload, block_txs]() {
+                  [this, payload]() {
                     if (txtrace_) {
                       // kBlockCut carries the orderer payload id, joining
                       // each transaction chain to its block's Raft chain.
@@ -171,18 +143,6 @@ void OrderingService::CutBlock() {
                         txtrace_->TxEvent(tx.tx_id, TxStage::kBlockCut, 0, 0,
                                           static_cast<uint32_t>(payload));
                       }
-                    }
-                    if (tracer_) {
-                      // One raft span per block, from proposal to quorum
-                      // commit.
-                      uint64_t span = tracer_->Begin(
-                          trace_category::kRaft, "raft_replicate",
-                          "orderer/raft");
-                      tracer_->Annotate(span, "payload",
-                                        std::to_string(payload));
-                      tracer_->Annotate(span, "txs",
-                                        std::to_string(block_txs));
-                      raft_spans_[payload] = span;
                     }
                     raft_.Propose(payload);
                   });

@@ -58,8 +58,8 @@ class OrderingService {
   }
   const BlockReorderer* reorderer() const { return reorderer_.get(); }
 
-  /// Attaches tracing + metrics (also wires the Raft cluster's metrics);
-  /// nullptr disables. `telemetry` must outlive the service.
+  /// Attaches the flight recorder + metrics (also wires the Raft
+  /// cluster's); nullptr disables. `telemetry` must outlive the service.
   void set_telemetry(Telemetry* telemetry);
 
   /// Starts the Raft cluster (elects the first leader).
@@ -107,11 +107,8 @@ class OrderingService {
 
   // Per-aspect telemetry handles, cached from Telemetry::options() (null
   // when disabled — see FabricNetwork's pointer-guard discipline).
-  TraceRecorder* tracer_ = nullptr;    // optional, not owned
   MetricsRegistry* metrics_ = nullptr;  // optional, not owned
   TxTraceRecorder* txtrace_ = nullptr;  // optional, not owned
-  std::map<uint64_t, uint64_t> order_spans_;  // tx_id -> open span
-  std::map<uint64_t, uint64_t> raft_spans_;   // payload -> open span
 
   std::map<uint64_t, Block> inflight_;
   uint64_t next_payload_id_ = 1;

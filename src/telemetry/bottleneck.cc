@@ -35,23 +35,6 @@ BottleneckReport ComputeBottleneckReport(
     const std::vector<FaultWindow>* fault_windows) {
   BottleneckReport report;
 
-  // Critical-path evidence: total span time per stage.
-  report.stages = ComputeStageBreakdown(telemetry.tracer());
-  double total_span_time = 0;
-  double dominant_time = 0;
-  std::string dominant_stage;
-  for (const auto& stage : report.stages) {
-    double t = stage.mean_s * static_cast<double>(stage.count);
-    total_span_time += t;
-    if (t > dominant_time) {
-      dominant_time = t;
-      dominant_stage = stage.stage;
-    }
-  }
-  if (total_span_time > 0) {
-    report.dominant_stage_share = dominant_time / total_span_time;
-  }
-
   // Queueing evidence: per-station utilization with evidence windows.
   const Sampler* sampler = telemetry.sampler();
   if (sampler != nullptr) {
@@ -106,8 +89,30 @@ BottleneckReport ComputeBottleneckReport(
     }
   }
 
+  // Causal-chain evidence: the flight recorder's critical-path shares
+  // partition committed latency exactly.
+  double critical_wait_share = 0;
+  const TxTraceRecorder* txrec = telemetry.txtrace();
+  if (txrec != nullptr && txrec->summary().committed > 0) {
+    const TxTraceSummary& ts = txrec->summary();
+    for (int i = 0; i < kNumCriticalStages; ++i) {
+      BottleneckReport::CriticalPathShare cps;
+      cps.stage = CriticalStageName(i);
+      cps.share = ts.StageShare(i);
+      cps.wait_share = ts.stages[i].wait_share();
+      report.critical_path.push_back(std::move(cps));
+    }
+    int dom = ts.DominantStage();
+    if (dom >= 0) {
+      report.critical_path_stage = CriticalStageName(dom);
+      report.critical_path_share = ts.StageShare(dom);
+      critical_wait_share = ts.stages[dom].wait_share();
+    }
+  }
+
   // Attribution: a saturated station wins; otherwise fall back to the
-  // dominant span stage (the run is latency-bound, not capacity-bound).
+  // dominant critical-path stage (the run is latency-bound, not
+  // capacity-bound).
   const StationAttribution* top = report.Top();
   if (top != nullptr && top->utilization >= kSaturationThreshold) {
     report.saturated = true;
@@ -116,9 +121,9 @@ BottleneckReport ComputeBottleneckReport(
     report.bottleneck_utilization = top->utilization;
     report.window_start = top->window_start;
     report.window_end = top->window_end;
-  } else if (!dominant_stage.empty()) {
-    report.bottleneck_stage = dominant_stage;
-    const StationAttribution* st = report.ForStage(dominant_stage);
+  } else if (!report.critical_path_stage.empty()) {
+    report.bottleneck_stage = report.critical_path_stage;
+    const StationAttribution* st = report.ForStage(report.bottleneck_stage);
     if (st != nullptr) {
       report.bottleneck_station = st->station;
       report.bottleneck_utilization = st->utilization;
@@ -134,6 +139,7 @@ BottleneckReport ComputeBottleneckReport(
   }
 
   char buf[256];
+  const double top_util = top != nullptr ? top->utilization : 0.0;
   if (report.saturated) {
     std::snprintf(buf, sizeof(buf),
                   "%s saturated: utilization %.2f over %s (stage: %s)",
@@ -144,44 +150,33 @@ BottleneckReport ComputeBottleneckReport(
                       .c_str(),
                   report.bottleneck_stage.c_str());
     report.summary = buf;
-  } else if (!report.bottleneck_stage.empty()) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "no station saturated (top utilization %.2f); stage '%s' dominates "
-        "end-to-end time (%.0f%% of span time)",
-        top != nullptr ? top->utilization : 0.0,
-        report.bottleneck_stage.c_str(), 100.0 * report.dominant_stage_share);
-    report.summary = buf;
-  } else {
-    report.summary = "no telemetry evidence recorded";
-  }
-
-  // Causal-chain evidence: the flight recorder's critical-path shares
-  // partition committed latency exactly, so they are cited alongside the
-  // utilization verdict (a saturated station should also dominate the
-  // critical path; when it does not, the verdict is queueing elsewhere).
-  const TxTraceRecorder* txrec = telemetry.txtrace();
-  if (txrec != nullptr && txrec->summary().committed > 0) {
-    const TxTraceSummary& ts = txrec->summary();
-    for (int i = 0; i < kNumCriticalStages; ++i) {
-      BottleneckReport::CriticalPathShare cps;
-      cps.stage = CriticalStageName(i);
-      cps.share = ts.StageShare(i);
-      cps.wait_share = ts.stages[i].wait_share();
-      report.critical_path.push_back(std::move(cps));
-    }
-    int dom = ts.DominantStage();
-    if (dom >= 0) {
-      report.critical_path_stage = CriticalStageName(dom);
-      report.critical_path_share = ts.StageShare(dom);
+    // A saturated station should also dominate the critical path; when it
+    // does not, the verdict is queueing elsewhere.
+    if (!report.critical_path_stage.empty()) {
       std::snprintf(buf, sizeof(buf),
                     "; critical path: %.0f%% of committed latency in '%s' "
                     "(wait share %.0f%%)",
                     100.0 * report.critical_path_share,
                     report.critical_path_stage.c_str(),
-                    100.0 * ts.stages[dom].wait_share());
+                    100.0 * critical_wait_share);
       report.summary += buf;
     }
+  } else if (!report.critical_path_stage.empty()) {
+    std::snprintf(buf, sizeof(buf),
+                  "no station saturated (top utilization %.2f); stage '%s' "
+                  "dominates end-to-end time (%.0f%% of committed latency, "
+                  "wait share %.0f%%)",
+                  top_util, report.critical_path_stage.c_str(),
+                  100.0 * report.critical_path_share,
+                  100.0 * critical_wait_share);
+    report.summary = buf;
+  } else if (top != nullptr) {
+    std::snprintf(buf, sizeof(buf),
+                  "no station saturated (top utilization %.2f at %s)",
+                  top_util, top->station.c_str());
+    report.summary = buf;
+  } else {
+    report.summary = "no telemetry evidence recorded";
   }
 
   // Fault attribution: when faults were injected, the verdict names the
@@ -243,7 +238,6 @@ JsonValue BottleneckToJson(const BottleneckReport& report) {
   root["bottleneck_utilization"] = JsonValue(report.bottleneck_utilization);
   root["window_start"] = JsonValue(report.window_start);
   root["window_end"] = JsonValue(report.window_end);
-  root["dominant_stage_share"] = JsonValue(report.dominant_stage_share);
   root["critical_path_stage"] = JsonValue(report.critical_path_stage);
   root["critical_path_share"] = JsonValue(report.critical_path_share);
   root["active_fault"] = JsonValue(report.active_fault);
@@ -296,19 +290,6 @@ JsonValue BottleneckToJson(const BottleneckReport& report) {
     series.push_back(JsonValue(std::move(entry)));
   }
   root["series"] = JsonValue(std::move(series));
-
-  JsonValue::Array stages;
-  for (const auto& st : report.stages) {
-    JsonValue::Object entry;
-    entry["stage"] = JsonValue(st.stage);
-    entry["count"] = JsonValue(st.count);
-    entry["mean_s"] = JsonValue(st.mean_s);
-    entry["p50_s"] = JsonValue(st.p50_s);
-    entry["p95_s"] = JsonValue(st.p95_s);
-    entry["max_s"] = JsonValue(st.max_s);
-    stages.push_back(JsonValue(std::move(entry)));
-  }
-  root["stages"] = JsonValue(std::move(stages));
   return JsonValue(std::move(root));
 }
 

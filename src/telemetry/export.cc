@@ -1,8 +1,10 @@
 #include "telemetry/export.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <map>
 
 namespace blockoptr {
 
@@ -276,11 +278,6 @@ JsonValue TxTraceSummaryJson(const TxTraceSummary& summary) {
   root["events_evicted"] = JsonValue(summary.events_evicted);
   root["truncated_chains"] = JsonValue(summary.truncated_chains);
   root["latency_total_s"] = JsonValue(summary.latency_total_s);
-  int dom = summary.DominantStage();
-  root["dominant_stage"] =
-      JsonValue(dom >= 0 ? CriticalStageName(dom) : "");
-  root["dominant_stage_share"] =
-      JsonValue(dom >= 0 ? summary.StageShare(dom) : 0.0);
   root["stages"] = StagePathAggJson(summary.stages, summary.latency_total_s);
 
   JsonValue::Array windows;
@@ -312,9 +309,121 @@ JsonValue TxTraceSummaryJson(const TxTraceSummary& summary) {
   return JsonValue(std::move(root));
 }
 
+namespace {
+
+constexpr double kMicros = 1e6;  // trace microseconds per virtual second
+
+/// One lifecycle event as a Chrome-trace slice on process `pid`, thread =
+/// transaction id. Service time renders as the slice body ending at the
+/// transition instant; zero-cost transitions become instants.
+JsonValue EventSlice(const TxTraceEvent& ev, int pid) {
+  const double dur = static_cast<double>(ev.dur);
+  JsonValue::Object slice;
+  slice["ph"] = JsonValue(dur > 0 ? "X" : "i");
+  slice["name"] = JsonValue(TxStageName(ev.stage));
+  slice["cat"] = JsonValue("txtrace");
+  slice["pid"] = JsonValue(pid);
+  slice["tid"] = JsonValue(ev.tx_id);
+  slice["ts"] = JsonValue((ev.t - dur) * kMicros);
+  if (dur > 0) slice["dur"] = JsonValue(dur * kMicros);
+  if (dur <= 0) slice["s"] = JsonValue("t");  // instant scope
+  JsonValue::Object args;
+  args["tx_id"] = JsonValue(ev.tx_id);
+  args["actor"] = JsonValue(static_cast<uint64_t>(ev.actor));
+  args["block_seq"] = JsonValue(static_cast<uint64_t>(ev.block_seq));
+  if (ev.flags & TxTraceEvent::kTruncated) {
+    args["truncated"] = JsonValue(true);
+  }
+  if (ev.flags & TxTraceEvent::kFailed) {
+    args["failed"] = JsonValue(true);
+  }
+  slice["args"] = JsonValue(std::move(args));
+  return JsonValue(std::move(slice));
+}
+
+/// A process_name metadata event naming process `pid`.
+JsonValue ProcessName(int pid, std::string name) {
+  JsonValue::Object meta;
+  meta["ph"] = JsonValue("M");
+  meta["name"] = JsonValue("process_name");
+  meta["pid"] = JsonValue(pid);
+  JsonValue::Object args;
+  args["name"] = JsonValue(std::move(name));
+  meta["args"] = JsonValue(std::move(args));
+  return JsonValue(std::move(meta));
+}
+
+/// The simulated component an event happened on, from its stage and
+/// actor: the client (by index), an org's endorser or validator, the
+/// orderer, the Raft cluster, or the ledger.
+std::string EventComponent(const TxTraceEvent& ev) {
+  const std::string actor = std::to_string(ev.actor);
+  switch (ev.stage) {
+    case TxStage::kSubmit:
+    case TxStage::kProposalDone:
+    case TxStage::kCollect:
+    case TxStage::kAssembleDone:
+    case TxStage::kEarlyAbort:
+      return "client/" + actor;
+    case TxStage::kEndorseStart:
+    case TxStage::kEndorseDone:
+    case TxStage::kEndorseRefused:
+      return "peer/Org" + actor + "/endorser";
+    case TxStage::kValidateStart:
+    case TxStage::kValidateDone:
+      return "peer/Org" + actor + "/validator";
+    case TxStage::kOrdererEnqueue:
+    case TxStage::kBlockCut:
+      return "orderer";
+    case TxStage::kRaftPropose:
+    case TxStage::kRaftReplicate:
+    case TxStage::kRaftCommit:
+      return "orderer/raft";
+    case TxStage::kCommit:
+      return "ledger";
+  }
+  return "unknown";
+}
+
+}  // namespace
+
+void WriteTxTraceRingChromeTrace(const TxTraceRecorder& recorder,
+                                 std::ostream& out) {
+  // Components become processes in first-seen order; their metadata
+  // events lead the slices.
+  std::map<std::string, int> pids;
+  JsonValue::Array events;
+  JsonValue::Array slices;
+  recorder.ForEachRetained([&](uint64_t, const TxTraceEvent& ev) {
+    std::string component = EventComponent(ev);
+    auto [it, added] =
+        pids.emplace(component, static_cast<int>(pids.size()) + 1);
+    if (added) events.push_back(ProcessName(it->second, std::move(component)));
+    slices.push_back(EventSlice(ev, it->second));
+  });
+  for (JsonValue& slice : slices) events.push_back(std::move(slice));
+  JsonValue::Object root;
+  root["traceEvents"] = JsonValue(std::move(events));
+  root["displayTimeUnit"] = JsonValue("ms");
+  out << JsonValue(std::move(root)).Dump();
+}
+
+void WriteTxTraceRingCsv(const TxTraceRecorder& recorder, std::ostream& out) {
+  out << "seq,tx_id,stage,t_s,dur_s,actor,block_seq,flags\n";
+  char line[160];
+  recorder.ForEachRetained([&](uint64_t seq, const TxTraceEvent& ev) {
+    std::snprintf(line, sizeof(line), "%llu,%llu,%s,%.9f,%.9f,%u,%u,%u\n",
+                  static_cast<unsigned long long>(seq),
+                  static_cast<unsigned long long>(ev.tx_id),
+                  TxStageName(ev.stage), ev.t, static_cast<double>(ev.dur),
+                  static_cast<unsigned>(ev.actor), ev.block_seq,
+                  static_cast<unsigned>(ev.flags));
+    out << line;
+  });
+}
+
 void WriteTxTraceChromeTrace(const TxTraceSummary& summary,
                              std::ostream& out) {
-  constexpr double kMicros = 1e6;
   JsonValue::Array events;
   int pid = 0;
   char buf[160];
@@ -331,41 +440,11 @@ void WriteTxTraceChromeTrace(const TxTraceSummary& summary,
                       static_cast<unsigned long long>(ex.tx_id),
                       ex.latency_s, ex.truncated ? " truncated" : "",
                       ex.nearest ? " nearest" : "");
-        JsonValue::Object meta;
-        meta["ph"] = JsonValue("M");
-        meta["name"] = JsonValue("process_name");
-        meta["pid"] = JsonValue(pid);
-        JsonValue::Object margs;
-        margs["name"] = JsonValue(std::string(buf));
-        meta["args"] = JsonValue(std::move(margs));
-        events.push_back(JsonValue(std::move(meta)));
+        events.push_back(ProcessName(pid, buf));
 
         for (size_t i = 0; i < ex.events.size(); ++i) {
           const TxTraceEvent& ev = ex.events[i];
-          double dur = static_cast<double>(ev.dur);
-          JsonValue::Object slice;
-          // Service time renders as the slice body ending at the
-          // transition instant; zero-cost transitions become instants.
-          slice["ph"] = JsonValue(dur > 0 ? "X" : "i");
-          slice["name"] = JsonValue(TxStageName(ev.stage));
-          slice["cat"] = JsonValue("txtrace");
-          slice["pid"] = JsonValue(pid);
-          slice["tid"] = JsonValue(ev.tx_id);
-          slice["ts"] = JsonValue((ev.t - dur) * kMicros);
-          if (dur > 0) slice["dur"] = JsonValue(dur * kMicros);
-          if (dur <= 0) slice["s"] = JsonValue("t");  // instant scope
-          JsonValue::Object args;
-          args["tx_id"] = JsonValue(ev.tx_id);
-          args["actor"] = JsonValue(static_cast<uint64_t>(ev.actor));
-          args["block_seq"] = JsonValue(static_cast<uint64_t>(ev.block_seq));
-          if (ev.flags & TxTraceEvent::kTruncated) {
-            args["truncated"] = JsonValue(true);
-          }
-          if (ev.flags & TxTraceEvent::kFailed) {
-            args["failed"] = JsonValue(true);
-          }
-          slice["args"] = JsonValue(std::move(args));
-          events.push_back(JsonValue(std::move(slice)));
+          events.push_back(EventSlice(ev, pid));
 
           // Flow arrows thread the causal chain through the exemplar:
           // "s" starts at the first event, "t" steps through the rest,
@@ -405,6 +484,42 @@ JsonValue TelemetrySnapshotJson(const Telemetry& telemetry,
     obj["bottleneck"] = BottleneckToJson(*bottleneck);
   }
   return root;
+}
+
+namespace {
+
+constexpr const char* kCriticalPathColumns[] = {
+    "stage", "share", "wait share", "span (s)", "service (s)", "wait (s)"};
+
+/// Stage i's row of the critical-path table, one cell per column.
+std::array<std::string, 6> CriticalPathCells(const TxTraceSummary& ts,
+                                             int i) {
+  return {CriticalStageName(i),
+          Fmt("%.1f%%", 100.0 * ts.StageShare(i)),
+          Fmt("%.1f%%", 100.0 * ts.stages[i].wait_share()),
+          Fmt("%.4f", ts.stages[i].span_s),
+          Fmt("%.4f", ts.stages[i].service_s),
+          Fmt("%.4f", ts.stages[i].wait_s)};
+}
+
+}  // namespace
+
+std::string FormatCriticalPathTable(const TxTraceSummary& summary) {
+  if (summary.committed == 0) return "";
+  std::string out;
+  char line[160];
+  const char* const* h = kCriticalPathColumns;
+  std::snprintf(line, sizeof(line), "%-9s %7s %11s %12s %12s %12s\n", h[0],
+                h[1], h[2], h[3], h[4], h[5]);
+  out += line;
+  for (int i = 0; i < kNumCriticalStages; ++i) {
+    const auto c = CriticalPathCells(summary, i);
+    std::snprintf(line, sizeof(line), "%-9s %7s %11s %12s %12s %12s\n",
+                  c[0].c_str(), c[1].c_str(), c[2].c_str(), c[3].c_str(),
+                  c[4].c_str(), c[5].c_str());
+    out += line;
+  }
+  return out;
 }
 
 namespace {
@@ -526,34 +641,23 @@ void WriteHtmlReport(std::ostream& out, const std::string& title,
     }
     out << "</table>\n";
   }
-  if (!bottleneck.stages.empty()) {
-    out << "<h2>Stage latency (spans)</h2>\n"
-           "<table>\n<tr><th>stage</th><th>spans</th><th>mean (s)</th>"
-           "<th>p50 (s)</th><th>p95 (s)</th><th>max (s)</th></tr>\n";
-    for (const auto& st : bottleneck.stages) {
-      out << "<tr><td>" << HtmlEscapeText(st.stage) << "</td><td>" << st.count
-          << "</td><td>" << Fmt("%.6f", st.mean_s) << "</td><td>"
-          << Fmt("%.6f", st.p50_s) << "</td><td>" << Fmt("%.6f", st.p95_s)
-          << "</td><td>" << Fmt("%.6f", st.max_s) << "</td></tr>\n";
-    }
-    out << "</table>\n";
-  }
 
   const TxTraceRecorder* txtrace = telemetry.txtrace();
   if (txtrace != nullptr) {
     const TxTraceSummary& ts = txtrace->summary();
     out << "<h2>Critical path (flight recorder)</h2>\n";
     if (ts.committed > 0) {
-      out << "<table>\n<tr><th>stage</th><th>share</th><th>wait share</th>"
-             "<th>span (s)</th><th>service (s)</th><th>wait (s)</th></tr>\n";
+      out << "<table>\n<tr>";
+      for (const char* heading : kCriticalPathColumns) {
+        out << "<th>" << heading << "</th>";
+      }
+      out << "</tr>\n";
       for (int i = 0; i < kNumCriticalStages; ++i) {
-        out << "<tr><td>" << CriticalStageName(i) << "</td><td>"
-            << Fmt("%.1f%%", 100.0 * ts.StageShare(i)) << "</td><td>"
-            << Fmt("%.1f%%", 100.0 * ts.stages[i].wait_share())
-            << "</td><td>" << Fmt("%.4f", ts.stages[i].span_s)
-            << "</td><td>" << Fmt("%.4f", ts.stages[i].service_s)
-            << "</td><td>" << Fmt("%.4f", ts.stages[i].wait_s)
-            << "</td></tr>\n";
+        out << "<tr>";
+        for (const std::string& cell : CriticalPathCells(ts, i)) {
+          out << "<td>" << cell << "</td>";
+        }
+        out << "</tr>\n";
       }
       out << "</table>\n";
       out << "<h2>Tail-latency exemplars</h2>\n";

@@ -61,12 +61,31 @@ JsonValue TxTraceSummaryJson(const TxTraceSummary& summary);
 void WriteTxTraceChromeTrace(const TxTraceSummary& summary,
                              std::ostream& out);
 
+/// Chrome-trace export of every event still in the recorder's ring, oldest
+/// first: one slice per event (drawn like WriteTxTraceChromeTrace's), one
+/// process per simulated component (client, endorser, orderer, Raft,
+/// validator, ledger; worked out from the event's stage and actor), thread
+/// = transaction id. This is what `--trace-out` writes.
+void WriteTxTraceRingChromeTrace(const TxTraceRecorder& recorder,
+                                 std::ostream& out);
+
+/// CSV dump of the recorder's ring, oldest first: a
+/// `seq,tx_id,stage,t_s,dur_s,actor,block_seq,flags` header, then one row
+/// per retained event. This is what `--trace-csv` writes.
+void WriteTxTraceRingCsv(const TxTraceRecorder& recorder, std::ostream& out);
+
+/// Fixed-width critical-path table: one row per stage with its share of
+/// committed latency, wait share, and span/service/wait seconds (the HTML
+/// report's columns). "" when nothing committed.
+std::string FormatCriticalPathTable(const TxTraceSummary& summary);
+
 /// Key/value rows rendered at the top of the HTML report (throughput,
 /// success rate, ...).
 using HtmlSummaryRows = std::vector<std::pair<std::string, std::string>>;
 
 /// A self-contained single-file HTML report: run summary, bottleneck
-/// attribution (summary sentence + station table + stage table), and one
+/// attribution (summary sentence + station table), the critical-path table
+/// and tail-latency waterfalls when the flight recorder ran, and one
 /// inline SVG chart per sampled series (pipeline series first, then every
 /// station's utilization / queue-depth / wait / service series). No
 /// external assets, no scripts; byte-deterministic for a given run.

@@ -13,6 +13,16 @@
 
 namespace blockoptr {
 
+/// The pipeline stage a ServiceStation implements (AddStation's `stage`).
+/// Bottleneck attribution and recommendation evidence look stations up by
+/// these names.
+namespace station_stage {
+inline constexpr const char* kSubmit = "submit";
+inline constexpr const char* kEndorse = "endorse";
+inline constexpr const char* kOrder = "order";
+inline constexpr const char* kValidate = "validate";
+}  // namespace station_stage
+
 struct SamplerConfig {
   /// Sampling period in virtual seconds. <= 0 disables the sampler
   /// entirely: Start() becomes a no-op, no event is ever scheduled.
@@ -62,8 +72,8 @@ class Sampler {
   void AddWindowMean(std::string name, std::function<double()> sum,
                      std::function<uint64_t()> count);
   /// Registers a ServiceStation track (four series). `stage` is the
-  /// pipeline stage the station implements (endorse/order/validate/...),
-  /// used by bottleneck attribution to join stations with span categories.
+  /// pipeline stage the station implements (one of station_stage), used by
+  /// bottleneck attribution to join stations with critical-path stages.
   void AddStation(std::string name, std::string stage,
                   const ServiceStation* station);
 

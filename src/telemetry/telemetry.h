@@ -1,68 +1,62 @@
 #ifndef BLOCKOPTR_TELEMETRY_TELEMETRY_H_
 #define BLOCKOPTR_TELEMETRY_TELEMETRY_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "telemetry/metrics.h"
 #include "telemetry/sampler.h"
-#include "telemetry/trace.h"
 #include "telemetry/txtrace.h"
 
 namespace blockoptr {
 
-/// Which aspects of a telemetry-enabled run are recorded. The three
-/// aspects are independent so high-frequency runs can keep the cheap
-/// continuous sampler while shedding the per-transaction costs:
-///   - tracing:       per-transaction lifecycle spans (string-keyed; the
-///                    most expensive aspect at ~6 spans per transaction).
+/// Which aspects of a telemetry-enabled run are recorded. The aspects are
+/// independent so high-frequency runs can keep the cheap continuous
+/// sampler while shedding the per-transaction costs:
+///   - txtrace:       the per-transaction flight recorder: packed
+///                    lifecycle events in a fixed ring, with critical-path
+///                    extraction and tail-latency exemplars. Every trace
+///                    export (--trace-out, --trace-csv, --txtrace-out) and
+///                    the stage table derive from it.
 ///   - event_metrics: per-event counter/gauge updates at every pipeline
 ///                    touch point (map lookups by dotted name).
 ///   - sampling:      the continuous Sampler — one tick per period
 ///                    regardless of load, so its cost is O(sim-time), not
 ///                    O(transactions).
-///   - txtrace:       the per-transaction flight recorder (Observability
-///                    v3): packed lifecycle events in a fixed ring, with
-///                    critical-path extraction and tail-latency exemplars.
 struct TelemetryOptions {
-  bool tracing = true;
   bool event_metrics = true;
   /// Sampler period in virtual seconds; <= 0 disables the sampler.
   double sample_period_s = 0.5;
   /// Point capacity of each sampled TimeSeries.
   size_t series_capacity = 512;
-  /// Flight-recorder knobs; `txtrace.enabled` is off by default (the
-  /// disabled path is one null check per hook and allocates nothing).
+  /// Flight-recorder knobs; `txtrace.enabled` is on by default (turning it
+  /// off leaves one null check per hook and allocates nothing).
   TxTraceOptions txtrace;
 
-  /// Continuous monitoring only: spans and per-event metrics off, sampler
-  /// on. The always-on low-overhead profile.
+  /// Continuous monitoring only: flight recorder and per-event metrics
+  /// off, sampler on. The always-on low-overhead profile.
   static TelemetryOptions SamplerOnly() {
     TelemetryOptions opts;
-    opts.tracing = false;
     opts.event_metrics = false;
+    opts.txtrace.enabled = false;
     return opts;
   }
 
-  /// Flight recorder only: the causal-tracing profile behind --txtrace.
+  /// Flight recorder only: per-event metrics and the sampler off.
   static TelemetryOptions TxTraceOnly() {
     TelemetryOptions opts;
-    opts.tracing = false;
     opts.event_metrics = false;
     opts.sample_period_s = 0;
-    opts.txtrace.enabled = true;
     return opts;
   }
 };
 
-/// Bundles the per-run observability state: one trace recorder, one
-/// metrics registry, and one continuous sampler, shared by every simulated
+/// Bundles the per-run observability state: one metrics registry, one
+/// continuous sampler and one flight recorder, shared by every simulated
 /// component of a network.
 ///
 /// Components hold a nullable `Telemetry*` and cache per-aspect pointers
-/// (`TraceRecorder*` / `MetricsRegistry*`, null when that aspect is
+/// (`MetricsRegistry*` / `TxTraceRecorder*`, null when that aspect is
 /// disabled), guarding every recording site with a null check — the
 /// disabled path does no work and allocates nothing, so telemetry-off runs
 /// behave exactly like the uninstrumented simulator.
@@ -70,7 +64,7 @@ class Telemetry {
  public:
   /// `sim` must outlive all recording calls (exports may happen later).
   explicit Telemetry(Simulator* sim, TelemetryOptions options = {})
-      : options_(options), tracer_(sim) {
+      : options_(options) {
     if (options_.sample_period_s > 0) {
       sampler_ = std::make_unique<Sampler>(
           sim, SamplerConfig{options_.sample_period_s,
@@ -86,15 +80,10 @@ class Telemetry {
 
   const TelemetryOptions& options() const { return options_; }
 
-  TraceRecorder& tracer() { return tracer_; }
-  const TraceRecorder& tracer() const { return tracer_; }
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
   /// The per-aspect accessors components cache: null when disabled.
-  TraceRecorder* tracing() {
-    return options_.tracing ? &tracer_ : nullptr;
-  }
   MetricsRegistry* event_metrics() {
     return options_.event_metrics ? &metrics_ : nullptr;
   }
@@ -107,37 +96,10 @@ class Telemetry {
 
  private:
   TelemetryOptions options_;
-  TraceRecorder tracer_;
   MetricsRegistry metrics_;
   std::unique_ptr<Sampler> sampler_;
   std::unique_ptr<TxTraceRecorder> txtrace_;
 };
-
-/// Latency summary of one pipeline stage (one span category).
-struct StageLatency {
-  std::string stage;
-  uint64_t count = 0;
-  double mean_s = 0;
-  double p50_s = 0;
-  double p95_s = 0;
-  double max_s = 0;
-};
-
-/// Groups finished spans by category and summarizes their durations, in
-/// pipeline order (submit, endorse, assemble, order, raft, validate,
-/// commit) followed by any other categories alphabetically.
-std::vector<StageLatency> ComputeStageBreakdown(const TraceRecorder& tracer);
-
-/// Histogram-backed variant: reads the `stage.<category>.seconds`
-/// histograms (recorded by the experiment driver after a traced run) and
-/// derives p50/p95 via Histogram::Quantile. max_s is the upper bound of
-/// the highest occupied bucket — a bucket-resolution estimate, unlike the
-/// exact span-derived value.
-std::vector<StageLatency> ComputeStageBreakdown(
-    const MetricsRegistry& metrics);
-
-/// Paper-style fixed-width table of a stage breakdown; "" when empty.
-std::string FormatStageBreakdownTable(const std::vector<StageLatency>& stages);
 
 }  // namespace blockoptr
 

@@ -8,10 +8,10 @@ namespace blockoptr {
 
 namespace {
 
-/// Smallest power of two >= n (n clamped to [16, 2^30]).
+/// Smallest power of two >= n (n clamped to [16, kMaxTxTraceRing]).
 uint32_t RoundUpPow2(uint32_t n) {
   uint32_t p = 16;
-  while (p < n && p < (1u << 30)) p <<= 1;
+  while (p < n && p < kMaxTxTraceRing) p <<= 1;
   return p;
 }
 

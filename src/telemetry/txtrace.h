@@ -48,8 +48,8 @@ const char* TxStageName(TxStage stage);
 /// so per-stage shares sum to 1.0 per transaction by construction.
 inline constexpr int kNumCriticalStages = 6;
 
-/// Name of critical-path stage i, aligned with trace_category (the last
-/// stage is "commit" and covers validation + ledger apply).
+/// Name of critical-path stage i (the last stage is "commit" and covers
+/// validation + ledger apply).
 const char* CriticalStageName(int stage);
 
 /// One packed lifecycle event in the flight-recorder ring.
@@ -70,13 +70,16 @@ struct TxTraceEvent {
 };
 static_assert(sizeof(TxTraceEvent) == 32, "flight-recorder events are 32B");
 
+/// Largest ring the recorder allocates (2^30 events, 32 GiB).
+inline constexpr uint32_t kMaxTxTraceRing = 1u << 30;
+
 /// Recorder knobs; all capacities are fixed at construction so the
 /// steady-state append path never allocates.
 struct TxTraceOptions {
-  bool enabled = false;
-  /// Ring capacity in events (rounded up to a power of two). In-flight
-  /// transactions whose oldest events fall out of the ring get truncated
-  /// chains (flagged, never silently missing).
+  bool enabled = true;
+  /// Ring capacity in events (rounded up to a power of two, at most
+  /// kMaxTxTraceRing). In-flight transactions whose oldest events fall out
+  /// of the ring get truncated chains (flagged, never silently missing).
   uint32_t ring_capacity = 1u << 16;
   /// Exemplar window length in virtual seconds.
   double window_s = 5.0;
@@ -176,8 +179,8 @@ struct TxTraceSummary {
 /// extraction are allocation-free in steady state. Sealing a window copies
 /// at most a handful of exemplar chains — O(windows), like the sampler.
 ///
-/// Single-threaded per channel, like TraceRecorder/MetricsRegistry;
-/// sharded runs own one recorder per channel and merge summaries.
+/// Single-threaded per channel, like MetricsRegistry; sharded runs own one
+/// recorder per channel and merge summaries.
 class TxTraceRecorder {
  public:
   TxTraceRecorder(Simulator* sim, TxTraceOptions options);
@@ -225,6 +228,18 @@ class TxTraceRecorder {
 
   uint64_t events_appended() const { return summary_.events_appended; }
   uint64_t events_evicted() const { return summary_.events_evicted; }
+
+  /// Calls `fn(seq, event)` for every event still in the ring, oldest
+  /// first; `seq` is the event's append index (evicted events included).
+  template <typename Fn>
+  void ForEachRetained(Fn&& fn) const {
+    const uint64_t first = appended_ > options_.ring_capacity
+                               ? appended_ - options_.ring_capacity
+                               : 0;
+    for (uint64_t seq = first; seq < appended_; ++seq) {
+      fn(seq, ring_[seq & mask_]);
+    }
+  }
 
  private:
   /// Fixed-capacity open-addressed map from chain key to ring sequence of

@@ -384,6 +384,31 @@ TEST(GoldenTest, CliShardedRunMatchesGoldenFile) {
       GoldenPath("cli_run_channels.txt"));
 }
 
+// Malformed flags come back as a Status: exit 1 with an "error:" line on
+// stderr, never an abort (a negative --txs used to throw length_error, a
+// negative ring capacity bad_alloc).
+TEST(CliTest, MalformedFlagsExitOneWithAnError) {
+  namespace fs = std::filesystem;
+  std::string root =
+      (fs::temp_directory_path() / "blockoptr-cli-error-XXXXXX").string();
+  ASSERT_NE(mkdtemp(root.data()), nullptr);
+  const fs::path err = fs::path(root) / "stderr.txt";
+  for (const char* args :
+       {"run --txs=-5", "run --workload=scm --txs=-5",
+        "sweep --set=table3 --txs=-5", "sweep --set=channels --txs=-5",
+        "run --txs=50 --txtrace-ring=-1", "run --txs=50 --txtrace-ring=0",
+        "sweep --rates=100 --txs=50 --txtrace-ring=-1"}) {
+    const std::string command = std::string("'") + BLOCKOPTR_CLI_PATH +
+                                "' " + args + " > /dev/null 2> '" +
+                                err.string() + "'";
+    const int status = std::system(command.c_str());
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << args;
+    EXPECT_NE(ReadFile(err).find("error:"), std::string::npos)
+        << args << ": " << ReadFile(err);
+  }
+  fs::remove_all(root);
+}
+
 TEST(GoldenTest, CliSweepMatchesGoldenFile) {
   CompareAgainstGolden(
       RenderCliRun("sweep --rates=200,400 --txs=300 --jobs=2 --txtrace "

@@ -18,7 +18,6 @@
 #include "telemetry/export.h"
 #include "telemetry/sampler.h"
 #include "telemetry/timeseries.h"
-#include "telemetry/trace.h"
 #include "workload/synthetic.h"
 
 namespace blockoptr {
@@ -166,7 +165,7 @@ TEST(SamplerTest, StationTrackMeasuresUtilizationWithinBounds) {
   Simulator sim;
   ServiceStation station(&sim, "st", 1);
   Sampler sampler(&sim, SamplerConfig{1.0, 64});
-  sampler.AddStation("st", trace_category::kEndorse, &station);
+  sampler.AddStation("st", station_stage::kEndorse, &station);
   // Two jobs of 0.3 s back to back: ~0.6 busy in the first window.
   sim.ScheduleAt(0.0, [&] {
     station.Submit(0.3, [] {});
@@ -194,7 +193,7 @@ TEST(SamplerTest, FinalizeIsIdempotent) {
   Simulator sim;
   ServiceStation station(&sim, "st", 1);
   Sampler sampler(&sim, SamplerConfig{1.0, 64});
-  sampler.AddStation("st", trace_category::kEndorse, &station);
+  sampler.AddStation("st", station_stage::kEndorse, &station);
   sim.ScheduleAt(0.0, [&] { station.Submit(0.4, [] {}); });
   sampler.Start();
   // The sampler's tick re-arms itself forever; run for a bounded span.
@@ -285,7 +284,7 @@ TEST(BottleneckTest, NamesTheEndorserInAnEndorserBoundScenario) {
   BottleneckReport report =
       ComputeBottleneckReport(*out->telemetry, out->sim_end_time);
   EXPECT_TRUE(report.saturated);
-  EXPECT_EQ(report.bottleneck_stage, trace_category::kEndorse);
+  EXPECT_EQ(report.bottleneck_stage, station_stage::kEndorse);
   EXPECT_NE(report.bottleneck_station.find("endorser"), std::string::npos);
   EXPECT_GT(report.bottleneck_utilization, kSaturationThreshold);
   EXPECT_GT(report.window_end, report.window_start);
@@ -302,7 +301,7 @@ TEST(BottleneckTest, NamesTheOrdererInAnOrdererBoundScenario) {
   BottleneckReport report =
       ComputeBottleneckReport(*out->telemetry, out->sim_end_time);
   EXPECT_TRUE(report.saturated);
-  EXPECT_EQ(report.bottleneck_stage, trace_category::kOrder);
+  EXPECT_EQ(report.bottleneck_stage, station_stage::kOrder);
   EXPECT_EQ(report.bottleneck_station, "orderer");
 }
 

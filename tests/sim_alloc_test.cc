@@ -179,9 +179,11 @@ void RecordLifecycle(Simulator& sim, TxTraceRecorder& rec, std::uint64_t id,
 
 TEST(TxTraceAllocTest, DisabledRecorderIsAbsentAndTheGuardAllocatesNothing) {
   Simulator sim;
-  // Default options: txtrace off. No recorder is ever constructed, and
-  // every hook site reduces to the cached-null check exercised here.
-  Telemetry telemetry(&sim, TelemetryOptions{});
+  // Recorder off: none is ever constructed, and every hook site reduces
+  // to the cached-null check exercised here.
+  TelemetryOptions options;
+  options.txtrace.enabled = false;
+  Telemetry telemetry(&sim, options);
   TxTraceRecorder* rec = telemetry.txtrace();
   EXPECT_EQ(rec, nullptr);
   const std::uint64_t before = AllocationCount();

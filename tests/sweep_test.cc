@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "blockopt/metrics/metrics.h"
 #include "blockopt/recommend/recommender.h"
 #include "driver/presets.h"
+#include "telemetry/export.h"
 
 namespace blockoptr {
 namespace {
@@ -249,8 +251,10 @@ TEST(SweepDeterminismTest, FaultedSweepMatchesSerialFieldForField) {
 }
 
 TEST(SweepDeterminismTest, TelemetryRunsAreSafeAndIdenticalAcrossJobs) {
-  // Concurrent runs each own a private Telemetry (TraceRecorder +
-  // MetricsRegistry). Span streams must match the serial run exactly.
+  // Concurrent runs each own a private Telemetry (flight recorder +
+  // MetricsRegistry + sampler). The recorded event streams, as the
+  // --trace-out ring export renders them, must match the serial run
+  // byte for byte.
   std::vector<ExperimentConfig> configs;
   for (const auto& def : Table3Experiments(200)) {
     auto cfg = MakeSyntheticExperiment(def.workload, def.network);
@@ -265,18 +269,11 @@ TEST(SweepDeterminismTest, TelemetryRunsAreSafeAndIdenticalAcrossJobs) {
     ASSERT_TRUE(parallel[i].ok()) << parallel[i].status();
     ASSERT_NE(serial[i]->telemetry, nullptr);
     ASSERT_NE(parallel[i]->telemetry, nullptr);
-    const auto& a = serial[i]->telemetry->tracer().spans();
-    const auto& b = parallel[i]->telemetry->tracer().spans();
-    ASSERT_EQ(a.size(), b.size()) << "experiment " << i + 1;
-    for (size_t s = 0; s < a.size(); ++s) {
-      EXPECT_EQ(a[s].span_id, b[s].span_id);
-      EXPECT_EQ(a[s].tx_id, b[s].tx_id);
-      EXPECT_EQ(a[s].category, b[s].category);
-      EXPECT_EQ(a[s].name, b[s].name);
-      EXPECT_EQ(a[s].component, b[s].component);
-      EXPECT_EQ(a[s].start, b[s].start);
-      EXPECT_EQ(a[s].end, b[s].end);
-    }
+    std::ostringstream a, b;
+    WriteTxTraceRingChromeTrace(*serial[i]->telemetry->txtrace(), a);
+    WriteTxTraceRingChromeTrace(*parallel[i]->telemetry->txtrace(), b);
+    EXPECT_GT(serial[i]->telemetry->txtrace()->events_appended(), 0u);
+    EXPECT_EQ(a.str(), b.str()) << "experiment " << i + 1;
     EXPECT_EQ(serial[i]->telemetry->metrics().SnapshotJson().Dump(),
               parallel[i]->telemetry->metrics().SnapshotJson().Dump());
   }

@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/json.h"
 #include "driver/experiment.h"
+#include "driver/faults.h"
 #include "sim/simulator.h"
+#include "telemetry/bottleneck.h"
+#include "telemetry/export.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
+#include "telemetry/txtrace.h"
 #include "workload/synthetic.h"
 
 namespace blockoptr {
@@ -157,152 +163,220 @@ TEST(MetricsTest, EmptyRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// TraceRecorder
+// Ring exports (--trace-out / --trace-csv): the flight recorder's retained
+// events, oldest first
 // ---------------------------------------------------------------------------
+
+std::string RingChromeTrace(const TxTraceRecorder& rec) {
+  std::ostringstream out;
+  WriteTxTraceRingChromeTrace(rec, out);
+  return out.str();
+}
+
+std::string RingCsv(const TxTraceRecorder& rec) {
+  std::ostringstream out;
+  WriteTxTraceRingCsv(rec, out);
+  return out.str();
+}
+
+/// The trace's slices (every non-metadata event), in export order.
+std::vector<JsonValue> Slices(const std::string& trace) {
+  auto parsed = JsonValue::Parse(trace);
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  std::vector<JsonValue> slices;
+  if (!parsed.ok()) return slices;
+  for (const JsonValue& ev : (*parsed)["traceEvents"].as_array()) {
+    if (ev["ph"].as_string() != "M") slices.push_back(ev);
+  }
+  return slices;
+}
+
+/// One committed transaction's full lifecycle on a one-org network, block
+/// payload 1 delivered as block 0.
+void RecordLifecycle(Simulator& sim, TxTraceRecorder& rec, uint64_t id) {
+  sim.ScheduleAt(1.0, [&rec, id] { rec.TxEvent(id, TxStage::kSubmit, 2); });
+  sim.ScheduleAt(1.1, [&rec, id] {
+    rec.TxEvent(id, TxStage::kProposalDone, 2, 0.1f);
+    rec.TxEvent(id, TxStage::kEndorseStart, 1);
+  });
+  sim.ScheduleAt(1.2, [&rec, id] {
+    rec.TxEvent(id, TxStage::kEndorseDone, 1, 0.05f);
+    rec.TxEvent(id, TxStage::kCollect, 2);
+  });
+  sim.ScheduleAt(1.3, [&rec, id] {
+    rec.TxEvent(id, TxStage::kAssembleDone, 2, 0.1f);
+    rec.TxEvent(id, TxStage::kOrdererEnqueue, 0, 0.01f);
+  });
+  sim.ScheduleAt(1.5, [&rec, id] {
+    rec.TxEvent(id, TxStage::kBlockCut, 0, 0, 1);
+    rec.BlockEvent(1, TxStage::kRaftPropose);
+    rec.BlockEvent(1, TxStage::kRaftReplicate, 1);
+  });
+  sim.ScheduleAt(1.6, [&rec] {
+    rec.BlockEvent(1, TxStage::kRaftCommit, 1);
+    rec.OnBlockDelivered(0);
+    rec.ValidateEvent(0, TxStage::kValidateStart, 1);
+  });
+  sim.ScheduleAt(1.8, [&rec, id] {
+    rec.ValidateEvent(0, TxStage::kValidateDone, 1, 0.2f);
+    rec.CommitTx(id, 1.0, 0, false);
+  });
+}
 
 TEST(TraceRecorderTest, SpansAreStampedWithVirtualTime) {
   Simulator sim;
-  TraceRecorder rec(&sim);
-  uint64_t id = 0;
-  sim.ScheduleAt(1.0, [&] {
-    id = rec.Begin(trace_category::kEndorse, "endorse@Org1",
-                   "peer/Org1/endorser", 7);
-    rec.Annotate(id, "policy", "P3");
-  });
-  sim.ScheduleAt(1.5, [&] { rec.End(id); });
+  TxTraceRecorder rec(&sim, TxTraceOptions{});
+  sim.ScheduleAt(1.5, [&] { rec.TxEvent(7, TxStage::kEndorseDone, 1, 0.5f); });
   sim.Run();
 
-  ASSERT_EQ(rec.spans().size(), 1u);
-  EXPECT_EQ(rec.open_spans(), 0u);
-  const Span& span = rec.spans()[0];
-  EXPECT_EQ(span.tx_id, 7u);
-  EXPECT_EQ(span.category, "endorse");
-  EXPECT_DOUBLE_EQ(span.start, 1.0);
-  EXPECT_DOUBLE_EQ(span.end, 1.5);
-  EXPECT_DOUBLE_EQ(span.duration(), 0.5);
-  ASSERT_EQ(span.attrs.size(), 1u);
-  EXPECT_EQ(span.attrs[0].first, "policy");
+  // The service time becomes a slice ending at the event's virtual time;
+  // virtual seconds map to trace microseconds.
+  auto slices = Slices(RingChromeTrace(rec));
+  ASSERT_EQ(slices.size(), 1u);
+  EXPECT_EQ(slices[0]["ph"].as_string(), "X");
+  EXPECT_EQ(slices[0]["name"].as_string(), "endorse_done");
+  EXPECT_EQ(slices[0]["tid"].as_number(), 7);
+  EXPECT_EQ(slices[0]["ts"].as_number(), 1.0e6);
+  EXPECT_EQ(slices[0]["dur"].as_number(), 0.5e6);
+  EXPECT_NE(RingCsv(rec).find("\n0,7,endorse_done,1.500000000,0.500000000,1,"
+                              "0,0\n"),
+            std::string::npos);
 }
 
 TEST(TraceRecorderTest, EndOfUnknownIdIsIgnored) {
   Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.End(0);    // the "never started" sentinel
-  rec.End(999);  // never issued
-  EXPECT_TRUE(rec.spans().empty());
+  TxTraceRecorder rec(&sim, TxTraceOptions{});
+  // Validation events only see block numbers; one for a block the
+  // recorder never saw delivered has no chain to land on and is dropped.
+  rec.ValidateEvent(999, TxStage::kValidateDone, 1, 0.1f);
+  EXPECT_EQ(rec.events_appended(), 0u);
+  EXPECT_TRUE(Slices(RingChromeTrace(rec)).empty());
+  EXPECT_EQ(RingCsv(rec), "seq,tx_id,stage,t_s,dur_s,actor,block_seq,flags\n");
 }
 
 TEST(TraceRecorderTest, UnfinishedSpansStayOpen) {
   Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.Begin(trace_category::kOrder, "order", "orderer", 1);
-  EXPECT_EQ(rec.open_spans(), 1u);
-  EXPECT_TRUE(rec.spans().empty());
+  TxTraceRecorder rec(&sim, TxTraceOptions{});
+  rec.TxEvent(1, TxStage::kSubmit, 0);
+  rec.TxEvent(1, TxStage::kProposalDone, 0, 0.1f);
+  rec.Finalize(1.0);
+  // A chain without its commit is exported as far as it got, but it is not
+  // counted as committed.
+  EXPECT_EQ(rec.summary().committed, 0u);
+  auto slices = Slices(RingChromeTrace(rec));
+  ASSERT_EQ(slices.size(), 2u);
+  EXPECT_EQ(slices[1]["name"].as_string(), "proposal_done");
 }
 
 TEST(TraceRecorderTest, RecordCompleteAndInstant) {
   Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.RecordComplete(trace_category::kCommit, "commit", "ledger", 3, 2.0, 4.5);
-  rec.RecordInstant(trace_category::kAbort, "early_abort", "client/c0", 4);
-  ASSERT_EQ(rec.spans().size(), 2u);
-  EXPECT_DOUBLE_EQ(rec.spans()[0].duration(), 2.5);
-  EXPECT_DOUBLE_EQ(rec.spans()[1].duration(), 0.0);
-  auto cats = rec.Categories();
-  EXPECT_EQ(cats, (std::vector<std::string>{"abort", "commit"}));
+  TxTraceRecorder rec(&sim, TxTraceOptions{});
+  rec.TxEvent(3, TxStage::kAssembleDone, 0, 0.25f);
+  rec.TxEvent(3, TxStage::kBlockCut, 0, 0, 9);
+  // Modelled work exports as a complete slice, a zero-cost transition as a
+  // thread-scoped instant.
+  auto slices = Slices(RingChromeTrace(rec));
+  ASSERT_EQ(slices.size(), 2u);
+  EXPECT_EQ(slices[0]["ph"].as_string(), "X");
+  EXPECT_EQ(slices[0]["dur"].as_number(), 0.25e6);
+  EXPECT_EQ(slices[1]["ph"].as_string(), "i");
+  EXPECT_EQ(slices[1]["s"].as_string(), "t");
+  EXPECT_TRUE(slices[1]["dur"].is_null());
+  EXPECT_EQ(slices[1]["args"]["block_seq"].as_number(), 9);
 }
 
 TEST(TraceRecorderTest, SpansForTxFiltersByCorrelationId) {
   Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.RecordComplete(trace_category::kSubmit, "submit", "client/a", 1, 0, 1);
-  rec.RecordComplete(trace_category::kSubmit, "submit", "client/a", 2, 0, 1);
-  rec.RecordComplete(trace_category::kCommit, "commit", "ledger", 1, 1, 2);
-  auto spans = rec.SpansForTx(1);
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0]->category, "submit");
-  EXPECT_EQ(spans[1]->category, "commit");
+  TxTraceRecorder rec(&sim, TxTraceOptions{});
+  rec.TxEvent(1, TxStage::kSubmit, 0);
+  rec.TxEvent(2, TxStage::kSubmit, 1);
+  rec.TxEvent(1, TxStage::kProposalDone, 0, 0.1f);
+  rec.BlockEvent(5, TxStage::kRaftPropose);
+  // The thread id is the transaction id (0 for block-scoped events), so
+  // one transaction's chain is one thread, in recording order.
+  std::vector<std::string> tx1;
+  for (const JsonValue& slice : Slices(RingChromeTrace(rec))) {
+    if (slice["tid"].as_number() == 1) tx1.push_back(slice["name"].as_string());
+  }
+  EXPECT_EQ(tx1, (std::vector<std::string>{"submit", "proposal_done"}));
 }
 
 TEST(TraceRecorderTest, ChromeTraceExportIsValidAndComplete) {
   Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.RecordComplete(trace_category::kSubmit, "submit", "client/c0", 1, 0.5,
-                     1.0);
-  rec.RecordComplete(trace_category::kCommit, "commit", "ledger", 1, 1.0, 2.0);
+  TxTraceRecorder rec(&sim, TxTraceOptions{});
+  RecordLifecycle(sim, rec, 1);
+  sim.Run();
 
-  std::ostringstream out;
-  rec.WriteChromeTrace(out);
-  auto parsed = JsonValue::Parse(out.str());
+  auto parsed = JsonValue::Parse(RingChromeTrace(rec));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-
   EXPECT_EQ((*parsed)["displayTimeUnit"].as_string(), "ms");
-  const auto& events = (*parsed)["traceEvents"].as_array();
-  // 2 process_name metadata events + 2 complete events.
-  ASSERT_EQ(events.size(), 4u);
   std::set<std::string> process_names;
-  size_t complete = 0;
-  for (const auto& ev : events) {
+  size_t slices = 0;
+  for (const auto& ev : (*parsed)["traceEvents"].as_array()) {
     if (ev["ph"].as_string() == "M") {
+      EXPECT_EQ(slices, 0u) << "metadata must lead the slices";
       EXPECT_EQ(ev["name"].as_string(), "process_name");
       process_names.insert(ev["args"]["name"].as_string());
     } else {
-      ASSERT_EQ(ev["ph"].as_string(), "X");
-      ++complete;
+      ++slices;
       EXPECT_GT(ev["pid"].as_number(), 0);
-      EXPECT_EQ(ev["tid"].as_number(), 1);
-      EXPECT_FALSE(ev["cat"].as_string().empty());
-      EXPECT_GE(ev["dur"].as_number(), 0);
+      EXPECT_EQ(ev["cat"].as_string(), "txtrace");
     }
   }
-  EXPECT_EQ(complete, 2u);
+  // One slice per recorded event, one process per simulated component.
+  EXPECT_EQ(slices, rec.events_appended());
   EXPECT_EQ(process_names,
-            (std::set<std::string>{"client/c0", "ledger"}));
-  // Virtual seconds map to microseconds.
-  EXPECT_EQ(events[2]["ts"].as_number(), 0.5e6);
-  EXPECT_EQ(events[2]["dur"].as_number(), 0.5e6);
+            (std::set<std::string>{"client/2", "peer/Org1/endorser",
+                                   "orderer", "orderer/raft",
+                                   "peer/Org1/validator", "ledger"}));
 }
 
 TEST(TraceRecorderTest, CsvExportHasHeaderAndRows) {
   Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.RecordComplete(trace_category::kOrder, "order", "orderer", 9, 1.0, 2.0);
-  std::ostringstream out;
-  rec.WriteCsv(out);
-  std::string text = out.str();
-  EXPECT_EQ(text.rfind(
-                "span_id,tx_id,category,name,component,start_s,end_s,"
-                "duration_s,attrs\n",
-                0),
-            0u);
-  EXPECT_NE(text.find("order,order,orderer"), std::string::npos);
+  TxTraceOptions opt;
+  opt.ring_capacity = 16;
+  TxTraceRecorder rec(&sim, opt);
+  for (uint64_t id = 1; id <= 40; ++id) rec.TxEvent(id, TxStage::kSubmit, 0);
+  // The header, then one row per retained event: the ring keeps the last
+  // 16 of 40, oldest first.
+  std::istringstream in(RingCsv(rec));
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line, "seq,tx_id,stage,t_s,dur_s,actor,block_seq,flags");
+  std::vector<std::string> rows;
+  while (std::getline(in, line)) rows.push_back(line);
+  ASSERT_EQ(rows.size(), 16u);
+  EXPECT_EQ(rows.front().rfind("24,25,submit,", 0), 0u);
+  EXPECT_EQ(rows.back().rfind("39,40,submit,", 0), 0u);
+  EXPECT_EQ(rec.events_evicted(), 24u);
 }
 
 // ---------------------------------------------------------------------------
-// Stage breakdown
+// Stage breakdown: the critical-path table
 // ---------------------------------------------------------------------------
 
 TEST(StageBreakdownTest, GroupsByCategoryInPipelineOrder) {
   Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.RecordComplete(trace_category::kValidate, "v", "peer", 0, 0, 2.0);
-  rec.RecordComplete(trace_category::kSubmit, "s", "client", 1, 0, 1.0);
-  rec.RecordComplete(trace_category::kSubmit, "s", "client", 2, 0, 3.0);
-  rec.RecordComplete("zzz_custom", "c", "x", 0, 0, 1.0);
+  TxTraceRecorder rec(&sim, TxTraceOptions{});
+  RecordLifecycle(sim, rec, 1);
+  sim.Run();
+  rec.Finalize(sim.Now());
 
-  auto rows = ComputeStageBreakdown(rec);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].stage, "submit");  // pipeline order, not alphabetical
-  EXPECT_EQ(rows[1].stage, "validate");
-  EXPECT_EQ(rows[2].stage, "zzz_custom");
-  EXPECT_EQ(rows[0].count, 2u);
-  EXPECT_DOUBLE_EQ(rows[0].mean_s, 2.0);
-  EXPECT_DOUBLE_EQ(rows[0].max_s, 3.0);
-
-  std::string table = FormatStageBreakdownTable(rows);
-  EXPECT_NE(table.find("stage"), std::string::npos);
-  EXPECT_NE(table.find("submit"), std::string::npos);
-  EXPECT_EQ(FormatStageBreakdownTable({}), "");
+  // One row per critical-path stage, in pipeline order, under the HTML
+  // report's columns.
+  const std::string table = FormatCriticalPathTable(rec.summary());
+  EXPECT_EQ(table.rfind("stage", 0), 0u);
+  EXPECT_NE(table.find("wait share"), std::string::npos);
+  size_t last = 0;
+  for (int i = 0; i < kNumCriticalStages; ++i) {
+    const size_t at = table.find(std::string("\n") + CriticalStageName(i));
+    ASSERT_NE(at, std::string::npos) << CriticalStageName(i);
+    EXPECT_GT(at, last);
+    last = at;
+  }
+  // order: assemble-done 1.3 -> block cut 1.5 = 0.2s of the 0.8s latency.
+  EXPECT_NE(table.find("order       25.0%"), std::string::npos) << table;
+  EXPECT_EQ(FormatCriticalPathTable(TxTraceSummary{}), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -322,49 +396,61 @@ ExperimentConfig SmallExperiment(int num_txs = 300) {
   return cfg;
 }
 
-TEST(TracedExperimentTest, CoversThePipelineStages) {
-  ExperimentConfig cfg = SmallExperiment();
+/// `cfg` with default telemetry and a ring that keeps the whole run (what
+/// the CLI does for --trace-out / --trace-csv).
+ExperimentConfig FullyTraced(ExperimentConfig cfg) {
   cfg.enable_telemetry = true;
-  auto out = RunExperiment(cfg);
+  cfg.telemetry_options.txtrace.ring_capacity =
+      static_cast<uint32_t>(TxTraceEventBound(cfg));
+  return cfg;
+}
+
+TEST(TracedExperimentTest, CoversThePipelineStages) {
+  auto out = RunExperiment(FullyTraced(SmallExperiment()));
   ASSERT_TRUE(out.ok()) << out.status();
   ASSERT_NE(out->telemetry, nullptr);
+  const TxTraceRecorder* rec = out->telemetry->txtrace();
+  ASSERT_NE(rec, nullptr);
 
-  auto cats = out->telemetry->tracer().Categories();
-  std::set<std::string> seen(cats.begin(), cats.end());
-  for (const char* required :
-       {trace_category::kSubmit, trace_category::kEndorse,
-        trace_category::kAssemble, trace_category::kOrder,
-        trace_category::kRaft, trace_category::kValidate,
-        trace_category::kCommit}) {
-    EXPECT_TRUE(seen.count(required)) << "missing category " << required;
+  std::set<std::string> seen;
+  for (const JsonValue& slice : Slices(RingChromeTrace(*rec))) {
+    seen.insert(slice["name"].as_string());
   }
-  EXPECT_GE(seen.size(), 5u);
+  for (TxStage stage :
+       {TxStage::kSubmit, TxStage::kProposalDone, TxStage::kEndorseStart,
+        TxStage::kEndorseDone, TxStage::kCollect, TxStage::kAssembleDone,
+        TxStage::kOrdererEnqueue, TxStage::kBlockCut, TxStage::kRaftPropose,
+        TxStage::kRaftReplicate, TxStage::kRaftCommit,
+        TxStage::kValidateStart, TxStage::kValidateDone, TxStage::kCommit}) {
+    EXPECT_TRUE(seen.count(TxStageName(stage)))
+        << "missing stage " << TxStageName(stage);
+  }
+  // One CSV row per retained event, and the run-sized ring retained all.
+  const std::string csv = RingCsv(*rec);
+  EXPECT_EQ(static_cast<uint64_t>(std::count(csv.begin(), csv.end(), '\n')),
+            rec->events_appended() + 1);
+  EXPECT_EQ(rec->events_evicted(), 0u);
 }
 
 TEST(TracedExperimentTest, SpanLatencyMatchesLedgerLatencyExactly) {
-  ExperimentConfig cfg = SmallExperiment();
-  cfg.enable_telemetry = true;
-  auto out = RunExperiment(cfg);
+  auto out = RunExperiment(FullyTraced(SmallExperiment()));
   ASSERT_TRUE(out.ok()) << out.status();
 
-  const TraceRecorder& tracer = out->telemetry->tracer();
+  std::map<uint64_t, double> submit_t, commit_t;
+  out->telemetry->txtrace()->ForEachRetained(
+      [&](uint64_t, const TxTraceEvent& ev) {
+        if (ev.stage == TxStage::kSubmit) submit_t[ev.tx_id] = ev.t;
+        if (ev.stage == TxStage::kCommit) commit_t[ev.tx_id] = ev.t;
+      });
   size_t checked = 0;
   out->ledger.ForEachTransaction([&](const Block&, const Transaction& tx) {
     if (tx.is_config || tx.status != TxStatus::kValid) return;
-    const Span* submit = nullptr;
-    const Span* commit = nullptr;
-    for (const Span* span : tracer.SpansForTx(tx.tx_id)) {
-      if (span->category == trace_category::kSubmit) submit = span;
-      if (span->category == trace_category::kCommit) commit = span;
-    }
-    ASSERT_NE(submit, nullptr) << "tx " << tx.tx_id;
-    ASSERT_NE(commit, nullptr) << "tx " << tx.tx_id;
-    // Span boundaries reuse the exact timestamps the ledger records, so
-    // this must hold with exact double equality, not just approximately.
-    EXPECT_EQ(submit->start, tx.client_timestamp);
-    EXPECT_EQ(commit->end, tx.commit_timestamp);
-    EXPECT_EQ(commit->end - submit->start,
-              tx.commit_timestamp - tx.client_timestamp);
+    ASSERT_TRUE(submit_t.count(tx.tx_id)) << "tx " << tx.tx_id;
+    ASSERT_TRUE(commit_t.count(tx.tx_id)) << "tx " << tx.tx_id;
+    // The recorder stamps events with the same Simulator::Now() values the
+    // ledger records, so this holds with exact double equality.
+    EXPECT_EQ(submit_t[tx.tx_id], tx.client_timestamp);
+    EXPECT_EQ(commit_t[tx.tx_id], tx.commit_timestamp);
     ++checked;
   });
   EXPECT_EQ(checked, out->report.successful());
@@ -376,9 +462,20 @@ TEST(TracedExperimentTest, StageBreakdownAttachedToReport) {
   cfg.enable_telemetry = true;
   auto out = RunExperiment(cfg);
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_FALSE(out->report.stage_breakdown().empty());
-  EXPECT_NE(out->report.StageBreakdownTable().find("endorse"),
-            std::string::npos);
+  // The bottleneck report carries the six-stage critical path, which
+  // partitions committed latency.
+  BottleneckReport report =
+      ComputeBottleneckReport(*out->telemetry, out->sim_end_time);
+  ASSERT_EQ(report.critical_path.size(),
+            static_cast<size_t>(kNumCriticalStages));
+  double sum = 0;
+  for (const auto& stage : report.critical_path) sum += stage.share;
+  EXPECT_NEAR(sum, 1.0, 1e-9);
+  EXPECT_FALSE(report.critical_path_stage.empty());
+  EXPECT_NE(
+      FormatCriticalPathTable(out->telemetry->txtrace()->summary())
+          .find("endorse"),
+      std::string::npos);
 }
 
 TEST(TracedExperimentTest, ComponentMetricsArePopulated) {
@@ -419,15 +516,49 @@ TEST(TracedExperimentTest, TelemetryDoesNotPerturbTheSimulation) {
   EXPECT_EQ(off->ledger.NumBlocks(), on->ledger.NumBlocks());
   EXPECT_DOUBLE_EQ(off->sim_end_time, on->sim_end_time);
   EXPECT_EQ(off->telemetry, nullptr);
-  EXPECT_TRUE(off->report.stage_breakdown().empty());
 }
 
 TEST(TracedExperimentTest, NoSpanLeftOpenAtTheEnd) {
-  ExperimentConfig cfg = SmallExperiment();
-  cfg.enable_telemetry = true;
-  auto out = RunExperiment(cfg);
+  auto out = RunExperiment(FullyTraced(SmallExperiment()));
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(out->telemetry->tracer().open_spans(), 0u);
+  // Every transaction chain the run opened is closed by its commit or
+  // early abort.
+  std::map<uint64_t, int> open;
+  out->telemetry->txtrace()->ForEachRetained(
+      [&](uint64_t, const TxTraceEvent& ev) {
+        if (ev.stage == TxStage::kSubmit) ++open[ev.tx_id];
+        if (ev.stage == TxStage::kCommit || ev.stage == TxStage::kEarlyAbort) {
+          --open[ev.tx_id];
+        }
+      });
+  EXPECT_EQ(open.size(), SmallExperiment().schedule.size());
+  for (const auto& [tx_id, balance] : open) {
+    EXPECT_EQ(balance, 0) << "tx " << tx_id;
+  }
+}
+
+TEST(TracedExperimentTest, RunSizedRingEvictsNothing) {
+  // At 10k transactions the default 65,536-event ring drops the oldest
+  // events; the run-sized ring keeps a healthy run and a leader-crash run
+  // (whose new leader re-proposes blocks) whole.
+  ExperimentConfig healthy = SmallExperiment(10000);
+  ExperimentConfig crashed = healthy;
+  auto plan = ParseFaultPlan("leader-crash");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  crashed.faults = *plan;
+  for (const ExperimentConfig& cfg : {healthy, crashed}) {
+    auto out = RunExperiment(FullyTraced(cfg));
+    ASSERT_TRUE(out.ok()) << out.status();
+    const TxTraceRecorder* rec = out->telemetry->txtrace();
+    EXPECT_EQ(rec->events_evicted(), 0u);
+    EXPECT_LE(rec->events_appended(), TxTraceEventBound(cfg));
+    EXPECT_EQ(rec->summary().committed, out->report.total_committed());
+  }
+  ExperimentConfig default_ring = healthy;
+  default_ring.enable_telemetry = true;
+  auto out = RunExperiment(default_ring);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_GT(out->telemetry->txtrace()->events_evicted(), 0u);
 }
 
 }  // namespace

@@ -421,7 +421,8 @@ TEST(TxTraceDisabledTest, RecorderIsAbsentAndExportsOmitTheSections) {
   wl.send_rate = 200;
   ExperimentConfig cfg =
       MakeSyntheticExperiment(wl, NetworkConfig::Defaults());
-  cfg.enable_telemetry = true;  // default options: txtrace off
+  cfg.enable_telemetry = true;
+  cfg.telemetry_options.txtrace.enabled = false;
   auto out = RunExperiment(cfg);
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(out->telemetry->txtrace(), nullptr);

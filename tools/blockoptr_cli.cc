@@ -13,7 +13,9 @@
 //   blockoptr run --workload=synthetic --orgs=4 --policy=P1 --autotune
 //   blockoptr sweep --set=table3 --jobs=0
 //   blockoptr sweep --block-counts=50,300,1000 --jobs=4
+#include <algorithm>
 #include <concepts>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -136,10 +138,16 @@ int Usage() {
       "  --out-xes=F      export the event log as XES (ProM/Disco)\n"
       "  --out-dot=F      export the mined Petri net as Graphviz DOT\n"
       "\n"
-      "observability (any of these enables telemetry for the run):\n"
-      "  --trace-out=F      export Chrome trace-event JSON (open in\n"
+      "observability (any of these enables telemetry for the run, which\n"
+      "includes the per-transaction flight recorder):\n"
+      "  --trace-out=F      export every flight-recorder event as Chrome\n"
+      "                     trace-event JSON, one slice per event and one\n"
+      "                     process per simulated component (open in\n"
       "                     Perfetto / chrome://tracing)\n"
-      "  --trace-csv=F      export the span dump as CSV\n"
+      "  --trace-csv=F      export every flight-recorder event as CSV\n"
+      "                     (seq,tx_id,stage,t_s,dur_s,actor,block_seq,\n"
+      "                     flags); with either flag the ring is raised to\n"
+      "                     hold the whole run\n"
       "  --metrics-out=F    export metrics + time series + bottleneck\n"
       "                     attribution as JSON\n"
       "  --prom-out=F       export Prometheus text exposition\n"
@@ -147,16 +155,17 @@ int Usage() {
       "                     SVG charts + bottleneck attribution)\n"
       "  --sample-period=S  continuous-sampler period in sim seconds\n"
       "                     (default 0.5; 0 disables the sampler)\n"
-      "  --txtrace          per-transaction flight recorder: packed\n"
-      "                     lifecycle events, critical-path extraction,\n"
-      "                     tail-latency exemplars (p50/p95/p99/max per\n"
-      "                     window) in the JSON/Prometheus/HTML exports\n"
+      "  --txtrace          enable telemetry without exporting a file: the\n"
+      "                     flight recorder's packed lifecycle events give\n"
+      "                     the critical-path table and tail-latency\n"
+      "                     exemplars (p50/p95/p99/max per window) in the\n"
+      "                     JSON/Prometheus/HTML exports\n"
       "  --txtrace-out=F    export the exemplar causal chains as Chrome\n"
       "                     trace-event JSON with flow arrows (implies\n"
       "                     --txtrace; open in Perfetto)\n"
       "  --txtrace-ring=N   flight-recorder ring capacity in events\n"
-      "                     (default 65536, rounded to a power of two;\n"
-      "                     implies --txtrace)\n"
+      "                     (default 65536, rounded to a power of two, at\n"
+      "                     most 2^30; implies --txtrace)\n"
       "  --txtrace-window=S exemplar window in sim seconds (default 5;\n"
       "                     implies --txtrace)\n"
       "\n"
@@ -203,6 +212,16 @@ Result<EndorsementPolicy> ParsePolicyFlag(const std::string& text,
   return EndorsementPolicy::Parse(text);
 }
 
+/// --txs (default 10000); a negative count is an error.
+Result<int> TxsFlag(const CliArgs& args) {
+  const int txs = args.GetInt("txs", 10000);
+  if (txs < 0) {
+    return Status::InvalidArgument("--txs must be >= 0 (is " +
+                                   std::to_string(txs) + ")");
+  }
+  return txs;
+}
+
 Result<ExperimentConfig> BuildExperiment(const CliArgs& args) {
   ExperimentConfig cfg;
   cfg.network = NetworkConfig::Defaults();
@@ -235,7 +254,7 @@ Result<ExperimentConfig> BuildExperiment(const CliArgs& args) {
   }
 
   const std::string workload = args.Get("workload", "synthetic");
-  const int txs = args.GetInt("txs", 10000);
+  BLOCKOPTR_ASSIGN_OR_RETURN(const int txs, TxsFlag(args));
   const double rate = args.GetDouble("rate", 300);
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
 
@@ -319,28 +338,33 @@ bool WriteFileOrFail(const std::string& path, WriteFn&& write) {
   return true;
 }
 
-/// Whether the run needs telemetry, and with which aspects.
-/// Any txtrace flag turns the flight recorder on; --txtrace-out /
-/// --txtrace-ring / --txtrace-window imply --txtrace.
-bool WantsTxTrace(const CliArgs& args) {
-  return args.Has("txtrace") || args.Has("txtrace-out") ||
-         args.Has("txtrace-ring") || args.Has("txtrace-window");
-}
-
+/// Whether the run needs telemetry: any observability flag turns it on,
+/// flight recorder included.
 bool WantsTelemetry(const CliArgs& args) {
   return args.Has("trace-out") || args.Has("trace-csv") ||
          args.Has("metrics-out") || args.Has("prom-out") ||
          args.Has("report-out") || args.Has("sample-period") ||
-         WantsTxTrace(args);
+         args.Has("txtrace") || args.Has("txtrace-out") ||
+         args.Has("txtrace-ring") || args.Has("txtrace-window");
 }
 
-TelemetryOptions TelemetryOptionsFromArgs(const CliArgs& args) {
+/// Telemetry options for `cfg` (whose schedule, network and stream options
+/// are already set). --trace-out and --trace-csv export every recorded
+/// event, so they raise the ring to the run's event bound; a bound past
+/// the recorder's limit saturates, and ChannelRun::Setup rejects it.
+TelemetryOptions TelemetryOptionsFromArgs(const CliArgs& args,
+                                          const ExperimentConfig& cfg) {
   TelemetryOptions opts;
   opts.sample_period_s = args.GetDouble("sample-period", 0.5);
-  opts.txtrace.enabled = WantsTxTrace(args);
   opts.txtrace.ring_capacity =
       static_cast<uint32_t>(args.GetInt("txtrace-ring", 1 << 16));
   opts.txtrace.window_s = args.GetDouble("txtrace-window", 5.0);
+  if (args.Has("trace-out") || args.Has("trace-csv")) {
+    const uint64_t bound = std::min<uint64_t>(TxTraceEventBound(cfg),
+                                              UINT32_MAX);
+    opts.txtrace.ring_capacity = std::max(
+        opts.txtrace.ring_capacity, static_cast<uint32_t>(bound));
+  }
   return opts;
 }
 
@@ -531,7 +555,7 @@ void PrintCrossChannelHotKeys(const Analysis& a) {
 }
 
 /// `run`'s summary ahead of the recommendation report. One channel: the
-/// report, faults, per-stage latency and bottleneck tables. Several: the
+/// report, faults, critical-path and bottleneck tables. Several: the
 /// merged report, per-channel breakdown and tails, faults, per-channel
 /// bottleneck verdicts naming the hottest channel, and the cross-channel
 /// hot keys. Either way, each channel's streaming summary.
@@ -570,8 +594,10 @@ void PrintRunSummary(const ExperimentOutput& out, const Analysis& a,
   }
   if (n == 1 && out.telemetry) {
     const BottleneckReport& bottleneck = *a.bottlenecks.front();
-    std::printf("per-stage latency breakdown (from lifecycle spans):\n%s\n",
-                out.report.StageBreakdownTable().c_str());
+    if (const TxTraceRecorder* rec = out.telemetry->txtrace()) {
+      std::printf("critical-path breakdown (flight recorder):\n%s\n",
+                  FormatCriticalPathTable(rec->summary()).c_str());
+    }
     std::string table = FormatBottleneckTable(bottleneck);
     if (!table.empty()) {
       std::printf("bottleneck attribution (sampled every %.2fs):\n%s",
@@ -651,16 +677,19 @@ bool WriteChannelExports(const CliArgs& args, ExperimentOutput& ch,
   };
   if (ch.telemetry) {
     const Telemetry& t = *ch.telemetry;
+    const TxTraceRecorder* rec = t.txtrace();
     const bool ok =
-        write("trace-out", "Chrome trace (open in Perfetto)",
-              [&](std::ostream& f) { t.tracer().WriteChromeTrace(f); }) &&
-        write("trace-csv", "span CSV",
-              [&](std::ostream& f) { t.tracer().WriteCsv(f); }) &&
-        (t.txtrace() == nullptr ||
-         write("txtrace-out", "txtrace exemplar chains (open in Perfetto)",
-               [&](std::ostream& f) {
-                 WriteTxTraceChromeTrace(t.txtrace()->summary(), f);
-               })) &&
+        (rec == nullptr ||
+         (write("trace-out", "Chrome trace (open in Perfetto)",
+                [&](std::ostream& f) {
+                  WriteTxTraceRingChromeTrace(*rec, f);
+                }) &&
+          write("trace-csv", "trace event CSV",
+                [&](std::ostream& f) { WriteTxTraceRingCsv(*rec, f); }) &&
+          write("txtrace-out", "txtrace exemplar chains (open in Perfetto)",
+                [&](std::ostream& f) {
+                  WriteTxTraceChromeTrace(rec->summary(), f);
+                }))) &&
         write("metrics-out", "metrics snapshot",
               [&](std::ostream& f) {
                 JsonValue snapshot = TelemetrySnapshotJson(t, &*bottleneck);
@@ -778,8 +807,8 @@ int RunCommand(const CliArgs& args) {
     return 1;
   }
   cfg->enable_telemetry = WantsTelemetry(args);
-  cfg->telemetry_options = TelemetryOptionsFromArgs(args);
   cfg->stream = StreamOptionsFromArgs(args);
+  cfg->telemetry_options = TelemetryOptionsFromArgs(args, *cfg);
 
   std::printf("running %zu transactions on %d orgs (policy %s)...\n",
               cfg->schedule.size(), cfg->network.num_orgs,
@@ -841,8 +870,9 @@ Result<std::vector<SweepCase>> BuildSweepCases(const CliArgs& args) {
     return cases;
   }
   const std::string set = args.Get("set", "table3");
+  BLOCKOPTR_ASSIGN_OR_RETURN(const int txs, TxsFlag(args));
   if (set == "channels") {
-    for (const auto& def : ChannelExperiments(args.GetInt("txs", 10000))) {
+    for (const auto& def : ChannelExperiments(txs)) {
       auto cfg = MakeChannelExperiment(def);
       cfg.sim_threads = args.GetInt("sim-threads", 1);
       cfg.epoch_s = args.GetDouble("sim-epoch", 0);
@@ -854,7 +884,7 @@ Result<std::vector<SweepCase>> BuildSweepCases(const CliArgs& args) {
     return Status::InvalidArgument("unknown sweep set '" + set +
                                    "' (supported: table3, channels)");
   }
-  for (const auto& def : Table3Experiments(args.GetInt("txs", 10000))) {
+  for (const auto& def : Table3Experiments(txs)) {
     cases.push_back(SweepCase{
         def.label, MakeSyntheticExperiment(def.workload, def.network)});
   }
@@ -874,12 +904,12 @@ int SweepCommand(const CliArgs& args) {
   std::vector<ExperimentConfig> configs;
   configs.reserve(cases->size());
   for (const auto& c : *cases) {
-    configs.push_back(c.config);
+    ExperimentConfig& cfg = configs.emplace_back(c.config);
+    cfg.stream = stream_opts;
     if (telemetry) {
-      configs.back().enable_telemetry = true;
-      configs.back().telemetry_options = TelemetryOptionsFromArgs(args);
+      cfg.enable_telemetry = true;
+      cfg.telemetry_options = TelemetryOptionsFromArgs(args, cfg);
     }
-    configs.back().stream = stream_opts;
   }
 
   // Progress goes to stderr: stdout carries only the result table, which
@@ -894,7 +924,8 @@ int SweepCommand(const CliArgs& args) {
               "-------", "----------", "---------------");
   for (size_t i = 0; i < outputs.size(); ++i) {
     if (!outputs[i].ok()) {
-      std::fprintf(stderr, "%-28s failed: %s\n", (*cases)[i].label.c_str(),
+      std::fprintf(stderr, "error: %s failed: %s\n",
+                   (*cases)[i].label.c_str(),
                    outputs[i].status().ToString().c_str());
       return 1;
     }

@@ -387,27 +387,28 @@ TEST(GoldenTest, CliShardedRunMatchesGoldenFile) {
 // Malformed flags come back as a Status: exit 1 with an "error:" line on
 // stderr, never an abort (a negative --txs used to throw length_error, a
 // negative ring capacity bad_alloc).
-TEST(CliTest, MalformedFlagsExitOneWithAnError) {
-  namespace fs = std::filesystem;
-  std::string root =
-      (fs::temp_directory_path() / "blockoptr-cli-error-XXXXXX").string();
-  ASSERT_NE(mkdtemp(root.data()), nullptr);
-  const fs::path err = fs::path(root) / "stderr.txt";
-  for (const char* args :
-       {"run --txs=-5", "run --workload=scm --txs=-5",
-        "sweep --set=table3 --txs=-5", "sweep --set=channels --txs=-5",
-        "run --txs=50 --txtrace-ring=-1", "run --txs=50 --txtrace-ring=0",
-        "sweep --rates=100 --txs=50 --txtrace-ring=-1"}) {
-    const std::string command = std::string("'") + BLOCKOPTR_CLI_PATH +
-                                "' " + args + " > /dev/null 2> '" +
-                                err.string() + "'";
-    const int status = std::system(command.c_str());
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << args;
-    EXPECT_NE(ReadFile(err).find("error:"), std::string::npos)
-        << args << ": " << ReadFile(err);
-  }
-  fs::remove_all(root);
+class CliErrorTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CliErrorTest, MalformedFlagExitsOneWithAnError) {
+  const std::string command = std::string("'") + BLOCKOPTR_CLI_PATH + "' " +
+                              GetParam() + " 2>&1 >/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string err;
+  for (int c; (c = std::fgetc(pipe)) != EOF;) err += static_cast<char>(c);
+  const int status = pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << status;
+  EXPECT_NE(err.find("error:"), std::string::npos) << err;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Flags, CliErrorTest,
+    ::testing::Values("run --txs=-5", "run --workload=scm --txs=-5",
+                      "sweep --set=table3 --txs=-5",
+                      "sweep --set=channels --txs=-5",
+                      "run --txs=50 --txtrace-ring=-1",
+                      "run --txs=50 --txtrace-ring=0",
+                      "sweep --rates=100 --txs=50 --txtrace-ring=-1"));
 
 TEST(GoldenTest, CliSweepMatchesGoldenFile) {
   CompareAgainstGolden(

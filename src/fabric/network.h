@@ -68,7 +68,7 @@ class FabricNetwork {
   /// sampler (registering pipeline series + every ServiceStation as
   /// sampler sources). `telemetry` must outlive the network; pass nullptr
   /// (the default state) to disable — the off path does no recording work
-  /// at all. Individual aspects follow `telemetry->options()`: the
+  /// at all. Individual aspects follow the telemetry's options: the
   /// network caches per-aspect pointers, so a disabled aspect costs one
   /// null check per site. Call before Start().
   void set_telemetry(Telemetry* telemetry);

@@ -98,10 +98,9 @@ inline constexpr double kSaturationThreshold = 0.8;
 /// `run_duration_s` is the run's virtual end time (used for whole-run
 /// utilization). Works with any subset of aspects enabled: critical-path
 /// analysis needs the flight recorder, station/series analysis needs the
-/// sampler. When
-/// `fault_windows` is non-null and non-empty, the report names the active
-/// fault as the verdict (the cause behind the saturated station / dominant
-/// stage).
+/// sampler. When `fault_windows` is non-null and non-empty, the report
+/// names the active fault as the verdict (the cause behind the saturated
+/// station / dominant stage).
 BottleneckReport ComputeBottleneckReport(
     const Telemetry& telemetry, double run_duration_s,
     const std::vector<FaultWindow>* fault_windows = nullptr);

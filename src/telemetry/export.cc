@@ -389,23 +389,26 @@ std::string EventComponent(const TxTraceEvent& ev) {
 
 void WriteTxTraceRingChromeTrace(const TxTraceRecorder& recorder,
                                  std::ostream& out) {
-  // Components become processes in first-seen order; their metadata
-  // events lead the slices.
+  // A run-sized ring holds millions of events, so the document is
+  // streamed one event at a time (the bytes of the equivalent JsonValue's
+  // compact dump): components become processes in first-seen order, and
+  // their metadata events lead the slices.
   std::map<std::string, int> pids;
-  JsonValue::Array events;
-  JsonValue::Array slices;
+  const char* sep = "";
+  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   recorder.ForEachRetained([&](uint64_t, const TxTraceEvent& ev) {
     std::string component = EventComponent(ev);
     auto [it, added] =
         pids.emplace(component, static_cast<int>(pids.size()) + 1);
-    if (added) events.push_back(ProcessName(it->second, std::move(component)));
-    slices.push_back(EventSlice(ev, it->second));
+    if (!added) return;
+    out << sep << ProcessName(it->second, std::move(component)).Dump();
+    sep = ",";
   });
-  for (JsonValue& slice : slices) events.push_back(std::move(slice));
-  JsonValue::Object root;
-  root["traceEvents"] = JsonValue(std::move(events));
-  root["displayTimeUnit"] = JsonValue("ms");
-  out << JsonValue(std::move(root)).Dump();
+  recorder.ForEachRetained([&](uint64_t, const TxTraceEvent& ev) {
+    out << sep << EventSlice(ev, pids.at(EventComponent(ev))).Dump();
+    sep = ",";
+  });
+  out << "]}";
 }
 
 void WriteTxTraceRingCsv(const TxTraceRecorder& recorder, std::ostream& out) {

@@ -230,7 +230,7 @@ class TxTraceRecorder {
   uint64_t events_evicted() const { return summary_.events_evicted; }
 
   /// Calls `fn(seq, event)` for every event still in the ring, oldest
-  /// first; `seq` is the event's append index (evicted events included).
+  /// first; `seq` is the event's append index (counting evicted events).
   template <typename Fn>
   void ForEachRetained(Fn&& fn) const {
     const uint64_t first = appended_ > options_.ring_capacity

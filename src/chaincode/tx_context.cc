@@ -73,6 +73,16 @@ std::vector<std::pair<std::string, std::string>> TxContext::GetStateByRange(
   rq.end_key = full_end;
 
   std::vector<std::pair<std::string, std::string>> out;
+  // Count first, so both vectors are allocated once and exact-size: the
+  // results live on in the ledger.
+  size_t count = 0;
+  store_->RangeVisit(full_start, full_end,
+                     [&count](std::string_view, const VersionedValue&) {
+                       ++count;
+                       return true;
+                     });
+  rq.results.reserve(count);
+  out.reserve(count);
   // Visit the range in place: the old Range() call materialized every
   // (key, value, version) into a temporary vector just to copy it again.
   const size_t ns_prefix = ns_stack_.back().size() + 1;

@@ -1,10 +1,12 @@
 #include "driver/channel_run.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
 
+#include "common/string_util.h"
 #include "driver/client_manager.h"
 #include "fabric/endorsement_policy.h"
 #include "reorder/fabricpp.h"
@@ -26,30 +28,74 @@ Result<std::unique_ptr<BlockReorderer>> MakeScheduler(
   return Status::InvalidArgument("unknown orderer scheduler '" + name + "'");
 }
 
+/// The configuration checks that need no network: every organization gets
+/// a client, every fault names an organization or orderer node the network
+/// has, and the recorder's ring and the recorder and stream windows are in
+/// range.
+Status CheckConfig(const ExperimentConfig& config) {
+  const NetworkConfig& net = config.network;
+  if (net.num_orgs < 1) {
+    return Status::InvalidArgument("the network needs at least one "
+                                   "organization (num_orgs is " +
+                                   std::to_string(net.num_orgs) + ")");
+  }
+  for (int org = 1; org <= net.num_orgs; ++org) {
+    if (net.ClientsOfOrg(org) < 1) {
+      return Status::InvalidArgument(
+          NetworkConfig::OrgName(org) + " gets no client (" +
+          std::to_string(net.num_clients) + " clients over " +
+          std::to_string(net.num_orgs) + " organizations)");
+    }
+  }
+  for (const FaultEvent& e : config.faults.events) {
+    const bool endorser_fault = e.kind == FaultKind::kEndorserOutage ||
+                                e.kind == FaultKind::kEndorserSlow;
+    if (endorser_fault && (e.org < 1 || e.org > net.num_orgs)) {
+      return Status::InvalidArgument(
+          "fault '" + DescribeFault(e) + "' names organization " +
+          std::to_string(e.org) + " of " + std::to_string(net.num_orgs));
+    }
+    if (e.kind == FaultKind::kNodeCrash &&
+        (e.node < 0 || e.node >= net.num_orderers)) {
+      return Status::InvalidArgument(
+          "fault '" + DescribeFault(e) + "' names orderer node " +
+          std::to_string(e.node) + ", but the nodes are 0.." +
+          std::to_string(net.num_orderers - 1));
+    }
+  }
+  const TxTraceOptions& txtrace = config.telemetry_options.txtrace;
+  if (config.enable_telemetry && txtrace.enabled) {
+    if (txtrace.ring_capacity == 0 || txtrace.ring_capacity > kMaxTxTraceRing) {
+      return Status::InvalidArgument(
+          "flight-recorder ring capacity must be in [1, " +
+          std::to_string(kMaxTxTraceRing) + "] events (is " +
+          std::to_string(txtrace.ring_capacity) + ")");
+    }
+    if (!(txtrace.window_s > 0)) {
+      return Status::InvalidArgument(
+          "flight-recorder window must be > 0 s (is " +
+          FormatDouble(txtrace.window_s, 3) + ")");
+    }
+  }
+  if (config.stream.enabled && !(config.stream.window_s > 0)) {
+    return Status::InvalidArgument("stream window must be > 0 s (is " +
+                                   FormatDouble(config.stream.window_s, 3) +
+                                   ")");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<ChannelRun>> ChannelRun::Create(
-    const ExperimentConfig& config) {
+    const ExperimentConfig& config, Schedule schedule) {
   std::unique_ptr<ChannelRun> run(new ChannelRun());
-  BLOCKOPTR_RETURN_NOT_OK(run->Setup(config));
+  BLOCKOPTR_RETURN_NOT_OK(run->Setup(config, std::move(schedule)));
   return run;
 }
 
-Status ChannelRun::Setup(const ExperimentConfig& config) {
-  if (config.network.num_orgs < 1) {
-    return Status::InvalidArgument("the network needs at least one "
-                                   "organization (num_orgs is " +
-                                   std::to_string(config.network.num_orgs) +
-                                   ")");
-  }
-  const uint32_t ring = config.telemetry_options.txtrace.ring_capacity;
-  if (config.enable_telemetry && config.telemetry_options.txtrace.enabled &&
-      (ring == 0 || ring > kMaxTxTraceRing)) {
-    return Status::InvalidArgument(
-        "flight-recorder ring capacity must be in [1, " +
-        std::to_string(kMaxTxTraceRing) + "] events (is " +
-        std::to_string(ring) + ")");
-  }
+Status ChannelRun::Setup(const ExperimentConfig& config, Schedule schedule) {
+  BLOCKOPTR_RETURN_NOT_OK(CheckConfig(config));
   max_sim_time_ = config.max_sim_time;
   faults_enabled_ = config.faults.enabled();
   base_network_config_ = config.network;
@@ -112,7 +158,7 @@ Status ChannelRun::Setup(const ExperimentConfig& config) {
 
   // Client manager: apply reordering / rate control to the workload.
   schedule_ = ClientManager::Prepare(
-      config.schedule, config.client_manager,
+      std::move(schedule), config.client_manager,
       output_.telemetry ? &output_.telemetry->metrics() : nullptr);
 
   // Fault injection: arrival faults reshape the prepared schedule;
@@ -135,7 +181,8 @@ Status ChannelRun::Setup(const ExperimentConfig& config) {
   });
 
   // Fail fast if the schedule references a missing contract (checked
-  // before anything is scheduled, so Submit below cannot fail).
+  // before anything is scheduled, so Submit below cannot fail) or cannot
+  // be put in time order.
   for (const auto& req : schedule_) {
     bool found =
         std::find(config.chaincodes.begin(), config.chaincodes.end(),
@@ -145,18 +192,28 @@ Status ChannelRun::Setup(const ExperimentConfig& config) {
                                      req.chaincode +
                                      "' which is not installed");
     }
+    if (!std::isfinite(req.send_time)) {
+      return Status::InvalidArgument(
+          "request " + std::to_string(req.request_id) +
+          " has a non-finite send time");
+    }
   }
 
-  // The whole schedule sits in the event queue up front; pre-size the
-  // engine for it. Requests are captured by reference — `schedule_`
-  // outlives the run loop — so arrival events carry no per-request copy.
-  sim_.Reserve(schedule_.size() + 64);
-  for (const auto& req : schedule_) {
-    FabricNetwork* net = network_.get();
-    sim_.ScheduleAt(req.send_time,
-                    [net, &req]() { (void)net->Submit(req); });
+  // Arrivals are chained: one is queued at a time, and each one queues the
+  // next when it fires, so the queue holds only in-flight work. They fire
+  // in (send time clamped at 0, schedule index) order, as a queue holding
+  // the whole schedule from this point on would fire them, and under
+  // sequence numbers reserved here: every other event ties with an
+  // arrival exactly as it would with the up-front one (DESIGN.md §4.9).
+  auto earlier = [](const ClientRequest& a, const ClientRequest& b) {
+    return std::max(a.send_time, 0.0) < std::max(b.send_time, 0.0);
+  };
+  if (!std::is_sorted(schedule_.begin(), schedule_.end(), earlier)) {
+    std::stable_sort(schedule_.begin(), schedule_.end(), earlier);
   }
+  arrival_seq_ = sim_.ReserveSequence(schedule_.size());
   total_ = schedule_.size();
+  if (!schedule_.empty()) ScheduleNextArrival();
 
   if (faults_enabled_) faults_->Arm();
   network_->Start();
@@ -166,6 +223,17 @@ Status ChannelRun::Setup(const ExperimentConfig& config) {
     output_.telemetry->sampler()->Start();
   }
   return Status::OK();
+}
+
+void ChannelRun::ScheduleNextArrival() {
+  const size_t i = next_arrival_++;
+  sim_.ScheduleAtSequence(schedule_[i].send_time, arrival_seq_ + i,
+                          [this, i]() {
+                            (void)network_->Submit(schedule_[i]);
+                            if (next_arrival_ < schedule_.size()) {
+                              ScheduleNextArrival();
+                            }
+                          });
 }
 
 Status ChannelRun::AdvanceUntil(SimTime epoch_end) {
@@ -221,7 +289,7 @@ ExperimentOutput ChannelRun::Finish() {
   }
   faults_->FinalizeWindows(sim_.Now());
   output_.fault_windows = faults_->windows();
-  output_.ledger = network_->ledger();
+  output_.ledger = network_->TakeLedger();
   output_.endorsement_counts = network_->endorsement_counts();
   output_.network = base_network_config_;
   output_.sim_end_time = sim_.Now();

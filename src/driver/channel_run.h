@@ -23,14 +23,18 @@ class ChannelRun : public Shard {
  public:
   /// Builds the fully-armed channel: network constructed, chaincodes
   /// installed, state seeded, scheduler/telemetry/stream attached, the
-  /// prepared schedule sitting in the event queue, faults armed, network
-  /// started, sampler ticking. After Create the channel only needs to be
-  /// stepped (AdvanceUntil) and Finished. Fails on a network without
-  /// organizations, a flight-recorder ring of 0 or more than
-  /// kMaxTxTraceRing events, an unknown contract or scheduler, or a
-  /// schedule that references a contract not installed.
+  /// first arrival of the prepared `schedule` queued, faults armed,
+  /// network started, sampler ticking. `schedule` is this channel's
+  /// workload; `config.schedule` is not read. After Create the channel
+  /// only needs to be stepped (AdvanceUntil) and Finished. Fails on a
+  /// network without organizations or with an organization that gets no
+  /// client, a fault naming an organization or orderer node the network
+  /// lacks, a flight-recorder ring of 0 or more than kMaxTxTraceRing
+  /// events, a non-positive flight-recorder or stream window, an unknown
+  /// contract or scheduler, or a schedule that references a contract not
+  /// installed or has a non-finite send time.
   static Result<std::unique_ptr<ChannelRun>> Create(
-      const ExperimentConfig& config);
+      const ExperimentConfig& config, Schedule schedule);
 
   ChannelRun(const ChannelRun&) = delete;
   ChannelRun& operator=(const ChannelRun&) = delete;
@@ -57,12 +61,19 @@ class ChannelRun : public Shard {
 
   /// The fallible construction steps, in exactly the order the monolithic
   /// RunExperiment performed them.
-  Status Setup(const ExperimentConfig& config);
+  Status Setup(const ExperimentConfig& config, Schedule schedule);
+
+  /// Queues the arrival of schedule_[next_arrival_]; when it fires, it
+  /// submits the request and queues the next one.
+  void ScheduleNextArrival();
 
   Simulator sim_;
   std::unique_ptr<FabricNetwork> network_;
   std::unique_ptr<FaultInjector> faults_;
-  Schedule schedule_;  // arrival events reference entries in place
+  /// In firing order; arrival events reference entries in place.
+  Schedule schedule_;
+  size_t next_arrival_ = 0;
+  uint64_t arrival_seq_ = 0;  // first sequence number reserved for arrivals
   ExperimentOutput output_;
   size_t completed_ = 0;
   size_t total_ = 0;

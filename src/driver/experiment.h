@@ -80,11 +80,10 @@ struct ExperimentConfig {
   std::vector<double> channel_weights;
 
   /// When true, the run records observability data into
-  /// `ExperimentOutput::telemetry` (per `telemetry_options`: lifecycle
-  /// spans, component metrics, continuous sampler time series) and
-  /// attaches a stage-latency breakdown to the report. Off by default:
-  /// the disabled path does no telemetry work and schedules no telemetry
-  /// events.
+  /// `ExperimentOutput::telemetry` (per `telemetry_options`: the flight
+  /// recorder, component metrics, continuous sampler time series). Off by
+  /// default: the disabled path does no telemetry work and schedules no
+  /// telemetry events.
   bool enable_telemetry = false;
 
   /// Which telemetry aspects a telemetry-enabled run records (ignored
@@ -115,7 +114,9 @@ struct ExperimentOutput {
   /// Engine statistics: total discrete events executed by the run and the
   /// event queue's high-water mark (also exported as the
   /// `sim.events_processed` / `sim.queue_peak` gauges when telemetry is
-  /// on). events/sec of a bench run is `events_processed` over wall time.
+  /// on). Arrivals are queued one at a time, so the peak counts in-flight
+  /// work, not the workload size. events/sec of a bench run is
+  /// `events_processed` over wall time.
   uint64_t events_processed = 0;
   size_t queue_peak = 0;
 
@@ -160,6 +161,11 @@ Result<ExperimentOutput> RunExperiment(const ExperimentConfig& config);
 /// a Raft crash fault can cause (the crash and the restart), since a new
 /// leader re-proposes the blocks it lacks.
 uint64_t TxTraceEventBound(const ExperimentConfig& config);
+
+/// The same bound for a channel of `config` that runs `scheduled_txs`
+/// requests (one partition of a sharded run).
+uint64_t TxTraceEventBound(const ExperimentConfig& config,
+                           size_t scheduled_txs);
 
 }  // namespace blockoptr
 

@@ -17,11 +17,11 @@ namespace {
 constexpr double kMaxForeignShare = 0.75;
 
 /// The per-channel config: everything from the experiment except the
-/// schedule (each channel gets its partition) and the sharding knobs
-/// (each channel is a plain single-channel run from its own view).
-/// Copies field-by-field instead of whole-struct so a million-request
-/// schedule is never duplicated per channel — keep in sync with
-/// ExperimentConfig when adding fields.
+/// schedule (each channel's partition is moved into its ChannelRun) and
+/// the sharding knobs (each channel is a plain single-channel run from its
+/// own view). Copies field-by-field instead of whole-struct so a
+/// million-request schedule is never duplicated per channel — keep in
+/// sync with ExperimentConfig when adding fields.
 ExperimentConfig ChannelTemplate(const ExperimentConfig& config) {
   ExperimentConfig t;
   t.network = config.network;
@@ -102,16 +102,29 @@ Result<ExperimentOutput> RunShardedExperiment(const ExperimentConfig& config) {
   std::vector<Schedule> parts =
       PartitionSchedule(config.schedule, channels, config.channel_weights);
 
+  // A flight-recorder ring sized to keep the whole run (as --trace-out
+  // requests) needs, per channel, only its own partition's events.
+  const TxTraceOptions& txtrace = config.telemetry_options.txtrace;
+  const bool whole_run_ring = config.enable_telemetry && txtrace.enabled &&
+                              txtrace.ring_capacity <= kMaxTxTraceRing &&
+                              txtrace.ring_capacity >= TxTraceEventBound(config);
+
   const ExperimentConfig tmpl = ChannelTemplate(config);
   std::vector<std::unique_ptr<ChannelRun>> runs;
   runs.reserve(static_cast<size_t>(channels));
   for (int c = 0; c < channels; ++c) {
+    Schedule& part = parts[static_cast<size_t>(c)];
     ExperimentConfig cc = tmpl;
-    cc.schedule = std::move(parts[static_cast<size_t>(c)]);
     cc.network.channel_index = c;
     cc.network.channel_count = channels;
     cc.network.seed = ChannelSeed(config.network.seed, c);
-    auto run = ChannelRun::Create(cc);
+    if (whole_run_ring) {
+      // At most the whole run's bound, so it fits the ring's range; at
+      // least one event, which an empty partition's bound is not.
+      cc.telemetry_options.txtrace.ring_capacity = static_cast<uint32_t>(
+          std::max<uint64_t>(TxTraceEventBound(cc, part.size()), 1));
+    }
+    auto run = ChannelRun::Create(cc, std::move(part));
     if (!run.ok()) return run.status();
     runs.push_back(std::move(*run));
   }

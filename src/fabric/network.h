@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaincode/chaincode.h"
@@ -125,6 +126,9 @@ class FabricNetwork {
   }
 
   const Ledger& ledger() const { return ledger_; }
+  /// Moves the ledger out, leaving the network's empty: the post-run
+  /// handoff to the experiment output. Nothing may commit afterwards.
+  Ledger TakeLedger() { return std::move(ledger_); }
   const NetworkConfig& config() const { return config_; }
   OrderingService& orderer() { return *orderer_; }
   Simulator& sim() { return *sim_; }

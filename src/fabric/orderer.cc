@@ -1,6 +1,7 @@
 #include "fabric/orderer.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace blockoptr {
@@ -102,7 +103,10 @@ void OrderingService::Flush() {
 
 void OrderingService::CutBlock() {
   ++timeout_gen_;  // disarm any pending timeout
-  std::vector<Transaction> txs = std::move(batch_);
+  // The block's vector is exact-size (it lives on in the ledger), while
+  // batch_ keeps its capacity for the next batch.
+  std::vector<Transaction> txs(std::make_move_iterator(batch_.begin()),
+                               std::make_move_iterator(batch_.end()));
   batch_.clear();
   batch_bytes_ = 0;
 

@@ -18,12 +18,12 @@ uint32_t Simulator::AcquireVacantSlot() {
   return slot;
 }
 
-void Simulator::Commit(SimTime at, uint32_t slot) {
+void Simulator::Push(SimTime at, uint64_t seq, uint32_t slot) {
   if (at < now_) at = now_;
   // +0.0 canonicalizes a negative zero, keeping the bit-pattern order of
   // non-negative doubles identical to their numeric order.
   uint64_t time_bits = std::bit_cast<uint64_t>(at + 0.0);
-  queue_.Push(EventRef{time_bits, (next_seq_++ << kSlotBits) | slot});
+  queue_.Push(EventRef{time_bits, (seq << kSlotBits) | slot});
   if (queue_.size() > queue_peak_) queue_peak_ = queue_.size();
 }
 

@@ -1,6 +1,7 @@
 #ifndef BLOCKOPTR_SIM_SIMULATOR_H_
 #define BLOCKOPTR_SIM_SIMULATOR_H_
 
+#include <cassert>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
@@ -70,6 +71,29 @@ class Simulator {
   }
 
   void ScheduleAfter(SimTime delay, Callback cb);
+
+  /// Reserves `n` consecutive insertion sequence numbers and returns the
+  /// first; events scheduled afterwards number after them. An event
+  /// scheduled later under a reserved number (ScheduleAtSequence) ties
+  /// with equal-time events exactly as if it had been scheduled at the
+  /// reservation point: before everything scheduled after it, after
+  /// everything scheduled before. This lets a driver feed a long arrival
+  /// stream one event at a time instead of queueing it whole.
+  uint64_t ReserveSequence(uint64_t n) {
+    const uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Schedules `f` at `at` (clamped like ScheduleAt) under `seq`, a number
+  /// from ReserveSequence. Each reserved number may be used at most once.
+  template <typename F>
+  void ScheduleAtSequence(SimTime at, uint64_t seq, F&& f) {
+    assert(seq < next_seq_);
+    uint32_t slot = AcquireVacantSlot();
+    slots_[slot].cb.Emplace(std::forward<F>(f));
+    Push(at, seq, slot);
+  }
 
   /// Pre-sizes the event heap and the callback slot pool for a run with
   /// up to `events` simultaneously pending events, so the warm-up
@@ -142,9 +166,13 @@ class Simulator {
   /// callback is empty and ready to be emplaced or assigned.
   uint32_t AcquireVacantSlot();
 
+  /// Pushes the heap handle for an already-filled slot under the next
+  /// insertion sequence number.
+  void Commit(SimTime at, uint32_t slot) { Push(at, next_seq_++, slot); }
+
   /// Pushes the heap handle for an already-filled slot (clamping `at` to
   /// the past-scheduling rule) and updates the queue high-water mark.
-  void Commit(SimTime at, uint32_t slot);
+  void Push(SimTime at, uint64_t seq, uint32_t slot);
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;

@@ -2,6 +2,7 @@
 
 #include "driver/client_manager.h"
 #include "driver/experiment.h"
+#include "driver/faults.h"
 #include "driver/report.h"
 #include "workload/synthetic.h"
 
@@ -223,6 +224,52 @@ TEST(ExperimentTest, NoOrganizationsFails) {
   cfg.network.num_orgs = 0;
   auto out = RunExperiment(cfg);
   EXPECT_TRUE(out.status().IsInvalidArgument()) << out.status();
+}
+
+TEST(ExperimentTest, OrganizationWithoutClientFails) {
+  ExperimentConfig cfg = SmallExperiment(10);
+  cfg.network.num_orgs = 11;  // 10 clients round-robin: Org11 gets none
+  auto out = RunExperiment(cfg);
+  EXPECT_TRUE(out.status().IsInvalidArgument()) << out.status();
+}
+
+TEST(ExperimentTest, FaultOnMissingTargetFails) {
+  for (const char* spec : {"endorser-slow@org=9", "endorser-outage@org=5",
+                           "node-crash@node=9"}) {
+    ExperimentConfig cfg = SmallExperiment(10);
+    auto plan = ParseFaultPlan(spec);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    cfg.faults = *plan;
+    auto out = RunExperiment(cfg);
+    EXPECT_TRUE(out.status().IsInvalidArgument()) << spec << ": "
+                                                  << out.status();
+  }
+}
+
+// Arrivals are queued one at a time, so the queue holds in-flight work
+// only, not the 5,000 scheduled requests.
+TEST(ExperimentTest, QueuePeakIsInFlightWorkNotWorkloadSize) {
+  auto out = RunExperiment(SmallExperiment(5000));
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_LT(out->queue_peak, 1000u);
+}
+
+// The ledger is handed over by move, so its vectors must be exact-size to
+// be as compact as a copy.
+TEST(ExperimentTest, LedgerVectorsAreExactSize) {
+  auto out = RunExperiment(SmallExperiment(2000));
+  ASSERT_TRUE(out.ok()) << out.status();
+  size_t range_queries = 0;
+  for (const Block& block : out->ledger.blocks()) {
+    EXPECT_EQ(block.transactions.capacity(), block.transactions.size());
+    for (const Transaction& tx : block.transactions) {
+      for (const RangeQueryInfo& rq : tx.rwset.range_queries) {
+        EXPECT_EQ(rq.results.capacity(), rq.results.size());
+        ++range_queries;
+      }
+    }
+  }
+  EXPECT_GT(range_queries, 0u);
 }
 
 TEST(ExperimentTest, FabricPPSchedulerRuns) {

@@ -408,7 +408,20 @@ INSTANTIATE_TEST_SUITE_P(
                       "sweep --set=channels --txs=-5",
                       "run --txs=50 --txtrace-ring=-1",
                       "run --txs=50 --txtrace-ring=0",
-                      "sweep --rates=100 --txs=50 --txtrace-ring=-1"));
+                      "sweep --rates=100 --txs=50 --txtrace-ring=-1",
+                      "run --txs=50 --orgs=11",
+                      "run --txs=50 --faults=endorser-slow@org=9",
+                      "run --txs=50 --faults=endorser-outage@org=5",
+                      "run --txs=50 --faults=node-crash@node=9",
+                      "run --txs=50 --rate=-5", "run --txs=50 --rate=0",
+                      "run --txs=50 --block-count=0",
+                      "run --txs=50 --block-count=-3",
+                      "run --txs=50 --block-timeout=0",
+                      "run --txs=50 --block-timeout=-1",
+                      "sweep --block-counts=0 --txs=50",
+                      "run --txs=50 --stream-window=0",
+                      "run --txs=50 --stream-window=-1",
+                      "run --txs=50 --txtrace-window=0"));
 
 TEST(GoldenTest, CliSweepMatchesGoldenFile) {
   CompareAgainstGolden(

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -460,6 +461,28 @@ TEST(ShardedExperimentTest, ChannelWeightsSkewPerChannelLoad) {
   ASSERT_EQ(out->channels.size(), 4u);
   EXPECT_EQ(out->channels[0].report.total_committed(), 400u);
   EXPECT_EQ(out->channels[1].report.total_committed(), 100u);
+}
+
+// A ring sized for the whole run (as --trace-out requests) is cut to each
+// channel's own partition, and still loses nothing.
+TEST(ShardedExperimentTest, WholeRunRingIsSizedPerChannel) {
+  ExperimentConfig cfg = ShardedExperiment(2000, 300, 4, 2);
+  cfg.telemetry_options.txtrace.ring_capacity =
+      static_cast<uint32_t>(TxTraceEventBound(cfg));
+  auto out = RunExperiment(cfg);
+  ASSERT_TRUE(out.ok()) << out.status();
+  const std::vector<Schedule> parts =
+      PartitionSchedule(cfg.schedule, cfg.channels, cfg.channel_weights);
+  ASSERT_EQ(out->channels.size(), parts.size());
+  for (size_t c = 0; c < parts.size(); ++c) {
+    const TxTraceRecorder* recorder = out->channels[c].telemetry->txtrace();
+    ASSERT_NE(recorder, nullptr);
+    EXPECT_EQ(recorder->events_evicted(), 0u) << "channel " << c;
+    // The recorder rounds its ring up to a power of two.
+    EXPECT_LE(recorder->options().ring_capacity,
+              std::bit_ceil(TxTraceEventBound(cfg, parts[c].size())))
+        << "channel " << c;
+  }
 }
 
 TEST(ShardedExperimentTest, InvalidConfigsAreRejected) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -260,6 +261,92 @@ TEST(SimulatorTest, RandomizedSchedulesMatchReferenceEngine) {
     auto got = RunStressScript(sim, seed);
     auto want = RunStressScript(ref, seed);
     ASSERT_EQ(got, want) << "divergence at seed " << seed;
+  }
+}
+
+/// Runs an open-loop arrival stream — send times equal, negative and out
+/// of order — between ordinary events at the same timestamps; every event
+/// cascades children (zero delay, in the past, on the arrival grid).
+/// With `kChained` the arrivals are fed one at a time under sequence
+/// numbers reserved at the scheduling point, in (send time clamped at 0,
+/// index) order, as ChannelRun feeds them; otherwise the whole stream is
+/// queued up front. Returns the (id, fire-time) log.
+template <bool kChained, typename Sim>
+std::vector<std::pair<int, double>> RunArrivalScript(Sim& sim, uint64_t seed) {
+  std::vector<std::pair<int, double>> log;
+  // `fire` and `arrive` outlive every scheduled event (the run loop below
+  // drains the queue before this function returns).
+  std::function<void(int)> fire = [&sim, &log, &fire](int id) {
+    log.emplace_back(id, sim.Now());
+    if (id >= 10000) return;  // children do not cascade further
+    if (id % 3 == 0) {
+      sim.ScheduleAfter(0.0, [id, &fire]() { fire(id + 10000); });
+    }
+    if (id % 4 == 0) {
+      sim.ScheduleAt(sim.Now() - 1.0, [id, &fire]() { fire(id + 20000); });
+    }
+    if (id % 5 == 0) {
+      sim.ScheduleAfter(0.5, [id, &fire]() { fire(id + 30000); });
+    }
+  };
+  Rng rng(seed);
+  auto grid_time = [&rng]() {
+    return (static_cast<double>(rng.NextBelow(16)) - 4.0) * 0.5;
+  };
+  for (int i = 0; i < 50; ++i) {
+    sim.ScheduleAt(grid_time(), [i, &fire]() { fire(1000 + i); });
+  }
+  std::vector<double> send(200);
+  for (double& t : send) t = grid_time();
+  std::function<void(size_t)> arrive;
+  std::vector<size_t> order(send.size());
+  if constexpr (kChained) {
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&send](size_t a, size_t b) {
+      return std::max(send[a], 0.0) < std::max(send[b], 0.0);
+    });
+    const uint64_t first_seq = sim.ReserveSequence(send.size());
+    arrive = [&sim, &send, &order, &fire, &arrive, first_seq](size_t k) {
+      const size_t i = order[k];
+      sim.ScheduleAtSequence(send[i], first_seq + k, [k, i, &order, &fire,
+                                                      &arrive]() {
+        fire(static_cast<int>(i));
+        if (k + 1 < order.size()) arrive(k + 1);
+      });
+    };
+    arrive(0);
+  } else {
+    for (size_t i = 0; i < send.size(); ++i) {
+      sim.ScheduleAt(send[i], [i, &fire]() { fire(static_cast<int>(i)); });
+    }
+  }
+  for (int i = 0; i < 50; ++i) {
+    sim.ScheduleAt(grid_time(), [i, &fire]() { fire(2000 + i); });
+  }
+  double horizon = 0.0;
+  while (sim.num_pending() > 0) {
+    horizon += 0.75;
+    sim.RunUntil(horizon);
+    sim.Step();
+    sim.Step();
+  }
+  log.emplace_back(-1, sim.Now());
+  return log;
+}
+
+// The chained arrival stream ChannelRun uses must fire every event in
+// exactly the order the all-up-front queue of the reference engine does,
+// while never holding more than one arrival.
+TEST(SimulatorTest, ChainedArrivalsMatchUpFrontReferenceOrder) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Simulator sim;
+    ReferenceSimulator ref;
+    auto got = RunArrivalScript<true>(sim, seed);
+    auto want = RunArrivalScript<false>(ref, seed);
+    ASSERT_EQ(got, want) << "divergence at seed " << seed;
+    // The up-front queue starts 300 deep; the chain adds one arrival to
+    // the 100 ordinary events.
+    EXPECT_LT(sim.queue_peak(), 200u);
   }
 }
 

@@ -222,15 +222,32 @@ Result<int> TxsFlag(const CliArgs& args) {
   return txs;
 }
 
+/// The `flag` value (`fallback` when absent) if it is > 0, else an error.
+Result<double> PositiveDoubleFlag(const CliArgs& args, const char* flag,
+                                  double fallback) {
+  const double value = args.GetDouble(flag, fallback);
+  if (!(value > 0)) {
+    return Status::InvalidArgument("--" + std::string(flag) +
+                                   " must be > 0 (is " +
+                                   args.Get(flag, "") + ")");
+  }
+  return value;
+}
+
 Result<ExperimentConfig> BuildExperiment(const CliArgs& args) {
   ExperimentConfig cfg;
   cfg.network = NetworkConfig::Defaults();
   cfg.network.num_orgs = args.GetInt("orgs", 2);
   cfg.network.seed = static_cast<uint64_t>(args.GetInt("seed", 1)) + 41;
   cfg.network.endorser_dist_skew = args.GetDouble("endorser-skew", 0);
-  cfg.network.block_cutting.max_tx_count =
-      static_cast<uint32_t>(args.GetInt("block-count", 300));
-  cfg.network.block_cutting.timeout_s = args.GetDouble("block-timeout", 1.0);
+  const int block_count = args.GetInt("block-count", 300);
+  if (block_count < 1) {
+    return Status::InvalidArgument("--block-count must be >= 1 (is " +
+                                   std::to_string(block_count) + ")");
+  }
+  cfg.network.block_cutting.max_tx_count = static_cast<uint32_t>(block_count);
+  BLOCKOPTR_ASSIGN_OR_RETURN(cfg.network.block_cutting.timeout_s,
+                             PositiveDoubleFlag(args, "block-timeout", 1.0));
   auto policy =
       ParsePolicyFlag(args.Get("policy", "P3"), cfg.network.num_orgs);
   if (!policy.ok()) return policy.status();
@@ -255,7 +272,8 @@ Result<ExperimentConfig> BuildExperiment(const CliArgs& args) {
 
   const std::string workload = args.Get("workload", "synthetic");
   BLOCKOPTR_ASSIGN_OR_RETURN(const int txs, TxsFlag(args));
-  const double rate = args.GetDouble("rate", 300);
+  BLOCKOPTR_ASSIGN_OR_RETURN(const double rate,
+                             PositiveDoubleFlag(args, "rate", 300));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
 
   if (workload == "synthetic") {

@@ -21,7 +21,6 @@
 #include <new>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/json.h"
 #include "driver/experiment.h"
@@ -148,19 +147,21 @@ bool CheckAgainstBaseline(const JsonValue& current, const std::string& path,
   bool ok = true;
   for (const auto& [name, base] : (*baseline)["workloads"].as_object()) {
     auto it = now.find(name);
-    if (it == now.end()) {
-      std::printf("FAIL %s: missing from this run\n", name.c_str());
+    if (it == now.end() || !base.is_object()) {
+      std::printf("FAIL %s: missing from this run or the baseline\n",
+                  name.c_str());
       ok = false;
       continue;
     }
     for (const auto& [counter, value] : base.as_object()) {
       const JsonValue& got = it->second[counter];
-      const bool regressed = !got.is_number() ||
-                             got.as_number() > value.as_number() *
-                                                   (1 + tolerance);
+      const double limit =
+          value.is_number() ? value.as_number() * (1 + tolerance) : -1;
+      const double now = got.is_number() ? got.as_number() : -1;
+      const bool regressed = limit < 0 || now < 0 || now > limit;
       std::printf("%s %-14s %-20s baseline %12.3f  now %12.3f\n",
                   regressed ? "FAIL" : "ok  ", name.c_str(), counter.c_str(),
-                  value.as_number(), got.is_number() ? got.as_number() : -1);
+                  value.is_number() ? value.as_number() : -1, now);
       ok = ok && !regressed;
     }
   }

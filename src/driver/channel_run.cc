@@ -53,7 +53,8 @@ Status CheckConfig(const ExperimentConfig& config) {
     if (endorser_fault && (e.org < 1 || e.org > net.num_orgs)) {
       return Status::InvalidArgument(
           "fault '" + DescribeFault(e) + "' names organization " +
-          std::to_string(e.org) + " of " + std::to_string(net.num_orgs));
+          std::to_string(e.org) + ", but the organizations are 1.." +
+          std::to_string(net.num_orgs));
     }
     if (e.kind == FaultKind::kNodeCrash &&
         (e.node < 0 || e.node >= net.num_orderers)) {

@@ -66,7 +66,8 @@ Status CheckConfig(const ExperimentConfig& config) {
   }
   const TxTraceOptions& txtrace = config.telemetry_options.txtrace;
   if (config.enable_telemetry && txtrace.enabled) {
-    if (txtrace.ring_capacity == 0 || txtrace.ring_capacity > kMaxTxTraceRing) {
+    if (txtrace.ring_capacity == 0 ||
+        txtrace.ring_capacity > kMaxTxTraceRing) {
       return Status::InvalidArgument(
           "flight-recorder ring capacity must be in [1, " +
           std::to_string(kMaxTxTraceRing) + "] events (is " +

@@ -105,9 +105,10 @@ Result<ExperimentOutput> RunShardedExperiment(const ExperimentConfig& config) {
   // A flight-recorder ring sized to keep the whole run (as --trace-out
   // requests) needs, per channel, only its own partition's events.
   const TxTraceOptions& txtrace = config.telemetry_options.txtrace;
-  const bool whole_run_ring = config.enable_telemetry && txtrace.enabled &&
-                              txtrace.ring_capacity <= kMaxTxTraceRing &&
-                              txtrace.ring_capacity >= TxTraceEventBound(config);
+  const bool whole_run_ring =
+      config.enable_telemetry && txtrace.enabled &&
+      txtrace.ring_capacity <= kMaxTxTraceRing &&
+      txtrace.ring_capacity >= TxTraceEventBound(config);
 
   const ExperimentConfig tmpl = ChannelTemplate(config);
   std::vector<std::unique_ptr<ChannelRun>> runs;

@@ -102,13 +102,12 @@ Result<ExperimentOutput> RunShardedExperiment(const ExperimentConfig& config) {
   std::vector<Schedule> parts =
       PartitionSchedule(config.schedule, channels, config.channel_weights);
 
-  // A flight-recorder ring sized to keep the whole run (as --trace-out
-  // requests) needs, per channel, only its own partition's events.
-  const TxTraceOptions& txtrace = config.telemetry_options.txtrace;
-  const bool whole_run_ring =
-      config.enable_telemetry && txtrace.enabled &&
-      txtrace.ring_capacity <= kMaxTxTraceRing &&
-      txtrace.ring_capacity >= TxTraceEventBound(config);
+  // A channel's flight recorder never needs more than its own partition's
+  // event bound, so a ring that would keep the whole run (as --trace-out
+  // requests) shrinks per channel. A ring outside [1, kMaxTxTraceRing]
+  // passes through for ChannelRun to reject.
+  const uint32_t ring = config.telemetry_options.txtrace.ring_capacity;
+  const bool valid_ring = ring >= 1 && ring <= kMaxTxTraceRing;
 
   const ExperimentConfig tmpl = ChannelTemplate(config);
   std::vector<std::unique_ptr<ChannelRun>> runs;
@@ -119,11 +118,12 @@ Result<ExperimentOutput> RunShardedExperiment(const ExperimentConfig& config) {
     cc.network.channel_index = c;
     cc.network.channel_count = channels;
     cc.network.seed = ChannelSeed(config.network.seed, c);
-    if (whole_run_ring) {
-      // At most the whole run's bound, so it fits the ring's range; at
-      // least one event, which an empty partition's bound is not.
-      cc.telemetry_options.txtrace.ring_capacity = static_cast<uint32_t>(
-          std::max<uint64_t>(TxTraceEventBound(cc, part.size()), 1));
+    if (valid_ring) {
+      // At least one event, which an empty partition's bound is not.
+      const uint64_t bound =
+          std::max<uint64_t>(TxTraceEventBound(cc, part.size()), 1);
+      cc.telemetry_options.txtrace.ring_capacity =
+          static_cast<uint32_t>(std::min<uint64_t>(ring, bound));
     }
     auto run = ChannelRun::Create(cc, std::move(part));
     if (!run.ok()) return run.status();

@@ -421,7 +421,8 @@ INSTANTIATE_TEST_SUITE_P(
                       "sweep --block-counts=0 --txs=50",
                       "run --txs=50 --stream-window=0",
                       "run --txs=50 --stream-window=-1",
-                      "run --txs=50 --txtrace-window=0"));
+                      "run --txs=50 --txtrace-window=0",
+                      "run --txs=0 --channels=2 --txtrace-ring=0"));
 
 TEST(GoldenTest, CliSweepMatchesGoldenFile) {
   CompareAgainstGolden(

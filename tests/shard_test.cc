@@ -463,25 +463,34 @@ TEST(ShardedExperimentTest, ChannelWeightsSkewPerChannelLoad) {
   EXPECT_EQ(out->channels[1].report.total_committed(), 100u);
 }
 
-// A ring sized for the whole run (as --trace-out requests) is cut to each
-// channel's own partition, and still loses nothing.
+// Each channel's ring is the smaller of the requested ring and its own
+// partition's event bound, so a ring sized for the whole run (as
+// --trace-out requests), or for half of it, still loses nothing, and a
+// ring below every channel's bound is kept as requested.
 TEST(ShardedExperimentTest, WholeRunRingIsSizedPerChannel) {
   ExperimentConfig cfg = ShardedExperiment(2000, 300, 4, 2);
-  cfg.telemetry_options.txtrace.ring_capacity =
-      static_cast<uint32_t>(TxTraceEventBound(cfg));
-  auto out = RunExperiment(cfg);
-  ASSERT_TRUE(out.ok()) << out.status();
+  const uint64_t whole_run = TxTraceEventBound(cfg);
   const std::vector<Schedule> parts =
       PartitionSchedule(cfg.schedule, cfg.channels, cfg.channel_weights);
-  ASSERT_EQ(out->channels.size(), parts.size());
-  for (size_t c = 0; c < parts.size(); ++c) {
-    const TxTraceRecorder* recorder = out->channels[c].telemetry->txtrace();
-    ASSERT_NE(recorder, nullptr);
-    EXPECT_EQ(recorder->events_evicted(), 0u) << "channel " << c;
-    // The recorder rounds its ring up to a power of two.
-    EXPECT_LE(recorder->options().ring_capacity,
-              std::bit_ceil(TxTraceEventBound(cfg, parts[c].size())))
-        << "channel " << c;
+  for (const uint64_t requested : {whole_run, whole_run / 2, uint64_t{256}}) {
+    cfg.telemetry_options.txtrace.ring_capacity =
+        static_cast<uint32_t>(requested);
+    auto out = RunExperiment(cfg);
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_EQ(out->channels.size(), parts.size());
+    for (size_t c = 0; c < parts.size(); ++c) {
+      const uint64_t bound = TxTraceEventBound(cfg, parts[c].size());
+      const TxTraceRecorder* recorder = out->channels[c].telemetry->txtrace();
+      ASSERT_NE(recorder, nullptr);
+      // The recorder rounds its ring up to a power of two.
+      EXPECT_EQ(recorder->options().ring_capacity,
+                std::bit_ceil(std::min(requested, bound)))
+          << "ring " << requested << ", channel " << c;
+      if (requested >= bound) {
+        EXPECT_EQ(recorder->events_evicted(), 0u)
+            << "ring " << requested << ", channel " << c;
+      }
+    }
   }
 }
 

@@ -1,15 +1,15 @@
 // Exact work counters of RunExperiment: heap allocations and bytes
 // allocated per transaction, simulator events per transaction and the
 // event queue's peak depth, on the three perfbench workload configurations
-// at a fixed size and seed. Unlike timings these repeat exactly for one
-// toolchain and standard library, so CI gates them tightly against the
+// at 25k transactions and seed 1. Unlike timings these repeat exactly for
+// one toolchain and standard library, so CI gates them tightly against the
 // committed bench/baselines/BENCH_work.json:
 //
-//   bench_work_counters [--txs=25000] [--seed=1] [--json-out=F]
-//                       [--baseline=F] [--tolerance=0.02]
+//   bench_work_counters [--json-out=F] [--baseline=F]
 //
-// With --baseline, exits 1 when a baseline workload is missing or any of
-// its counters exceeds the baseline value by more than the tolerance.
+// With --baseline, exits 1 when the baseline was taken at another size or
+// seed, a baseline workload is missing, or any of its counters exceeds the
+// baseline value by more than 2%.
 // Allocations are counted by replacing the global operator new, so this
 // binary must not link another allocation hook.
 #include <atomic>
@@ -69,6 +69,11 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace blockoptr {
 namespace {
 
+constexpr int kTxs = 25000;
+constexpr uint64_t kSeed = 1;
+/// A counter more than this fraction above its baseline fails the check.
+constexpr double kTolerance = 0.02;
+
 /// The perfbench workloads (perfbench/perfbench.cc), as far as
 /// RunExperiment sees them: the paper's Table 2 network, 300 TPS.
 struct Workload {
@@ -88,19 +93,19 @@ constexpr Workload kWorkloads[] = {
     {"sharded-4ch", SyntheticWorkloadType::kUniform, 1.0, "", false, 4, 2},
 };
 
-/// The ExperimentConfig `blockoptr run --txs=N --seed=S` builds for the
+/// The ExperimentConfig `blockoptr run --txs=25000 --seed=1` builds for the
 /// workload's flags.
-ExperimentConfig MakeConfig(const Workload& w, int txs, uint64_t seed) {
+ExperimentConfig MakeConfig(const Workload& w) {
   SyntheticConfig wl;
   wl.type = w.type;
-  wl.num_txs = txs;
+  wl.num_txs = kTxs;
   wl.send_rate = 300;
   wl.key_skew = w.key_skew;
   wl.num_orgs = 2;
-  wl.seed = seed;
+  wl.seed = kSeed;
   NetworkConfig net = NetworkConfig::Defaults();
   net.num_orgs = 2;
-  net.seed = seed + 41;
+  net.seed = kSeed + 41;
   net.block_cutting.max_tx_count = 300;
   net.block_cutting.timeout_s = 1.0;
   net.endorsement_policy = EndorsementPolicy::Preset(3, net.num_orgs);
@@ -113,13 +118,12 @@ ExperimentConfig MakeConfig(const Workload& w, int txs, uint64_t seed) {
 }
 
 /// Counter name -> value for one workload's RunExperiment call.
-Result<JsonValue::Object> Measure(const Workload& w, int txs,
-                                  uint64_t seed) {
-  const ExperimentConfig cfg = MakeConfig(w, txs, seed);
+Result<JsonValue::Object> Measure(const Workload& w) {
+  const ExperimentConfig cfg = MakeConfig(w);
   const uint64_t allocations = g_allocations.load();
   const uint64_t bytes = g_bytes.load();
   auto out = RunExperiment(cfg);
-  const double n = static_cast<double>(txs);
+  const double n = static_cast<double>(kTxs);
   JsonValue::Object counters;
   counters["allocations_per_tx"] =
       static_cast<double>(g_allocations.load() - allocations) / n;
@@ -131,9 +135,8 @@ Result<JsonValue::Object> Measure(const Workload& w, int txs,
 }
 
 /// Compares `current` against the baseline file; prints one line per
-/// counter and returns false when any counter regressed past `tolerance`.
-bool CheckAgainstBaseline(const JsonValue& current, const std::string& path,
-                          double tolerance) {
+/// counter and returns false when any counter regressed past kTolerance.
+bool CheckAgainstBaseline(const JsonValue& current, const std::string& path) {
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
@@ -141,6 +144,16 @@ bool CheckAgainstBaseline(const JsonValue& current, const std::string& path,
   if (!in || !baseline.ok() || !baseline->is_object() ||
       !(*baseline)["workloads"].is_object()) {
     std::fprintf(stderr, "error: cannot read baseline '%s'\n", path.c_str());
+    return false;
+  }
+  auto equals = [](const JsonValue& v, double x) {
+    return v.is_number() && v.as_number() == x;
+  };
+  if (!equals((*baseline)["txs"], kTxs) ||
+      !equals((*baseline)["seed"], static_cast<double>(kSeed))) {
+    std::fprintf(stderr, "error: baseline '%s' was not taken at %d txs, "
+                 "seed %llu\n", path.c_str(), kTxs,
+                 static_cast<unsigned long long>(kSeed));
     return false;
   }
   const JsonValue::Object& now = current["workloads"].as_object();
@@ -156,7 +169,7 @@ bool CheckAgainstBaseline(const JsonValue& current, const std::string& path,
     for (const auto& [counter, value] : base.as_object()) {
       const JsonValue& got = it->second[counter];
       const double limit =
-          value.is_number() ? value.as_number() * (1 + tolerance) : -1;
+          value.is_number() ? value.as_number() * (1 + kTolerance) : -1;
       const double now = got.is_number() ? got.as_number() : -1;
       const bool regressed = limit < 0 || now < 0 || now > limit;
       std::printf("%s %-14s %-20s baseline %12.3f  now %12.3f\n",
@@ -169,20 +182,11 @@ bool CheckAgainstBaseline(const JsonValue& current, const std::string& path,
 }
 
 int Main(int argc, char** argv) {
-  int txs = 25000;
-  uint64_t seed = 1;
-  double tolerance = 0.02;
   std::string json_out;
   std::string baseline;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strncmp(a, "--txs=", 6) == 0) {
-      txs = std::atoi(a + 6);
-    } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      seed = std::strtoull(a + 7, nullptr, 10);
-    } else if (std::strncmp(a, "--tolerance=", 12) == 0) {
-      tolerance = std::strtod(a + 12, nullptr);
-    } else if (std::strncmp(a, "--json-out=", 11) == 0) {
+    if (std::strncmp(a, "--json-out=", 11) == 0) {
       json_out = a + 11;
     } else if (std::strncmp(a, "--baseline=", 11) == 0) {
       baseline = a + 11;
@@ -191,14 +195,10 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
-  if (txs < 1) {
-    std::fprintf(stderr, "error: --txs must be >= 1\n");
-    return 2;
-  }
 
   JsonValue::Object workloads;
   for (const Workload& w : kWorkloads) {
-    auto counters = Measure(w, txs, seed);
+    auto counters = Measure(w);
     if (!counters.ok()) {
       std::fprintf(stderr, "error: %s: %s\n", w.name,
                    counters.status().ToString().c_str());
@@ -209,8 +209,8 @@ int Main(int argc, char** argv) {
   JsonValue::Object doc;
   doc["schema"] = "blockoptr-work-v1";
   doc["call"] = "RunExperiment";
-  doc["txs"] = txs;
-  doc["seed"] = seed;
+  doc["txs"] = kTxs;
+  doc["seed"] = kSeed;
   doc["workloads"] = JsonValue(std::move(workloads));
   const JsonValue result(std::move(doc));
   const std::string text = result.DumpPretty() + "\n";
@@ -222,7 +222,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  if (!baseline.empty() && !CheckAgainstBaseline(result, baseline, tolerance)) {
+  if (!baseline.empty() && !CheckAgainstBaseline(result, baseline)) {
     return 1;
   }
   return 0;

@@ -9,8 +9,9 @@
 //      idiom (requests copied into their arrival events, per-org
 //      make_shared commit fan-out). Side B ("Pooled") is the shipping
 //      pipeline: the 4-ary-heap/InlineCallback-slot-pool Simulator driven
-//      move-clean (thin by-reference arrivals, payload moved through
-//      assembly, one shared commit payload). Both run the same
+//      move-clean (thin by-reference arrivals chained one at a time as
+//      the driver feeds them, payload moved through assembly, one shared
+//      commit payload). Both run the same
 //      seven-events-per-transaction pipeline shape — arrival → endorse ×3
 //      → order → commit fan-out ×2 — over the same pre-built schedule.
 //      items/sec = events/sec.
@@ -51,10 +52,6 @@ class LegacyEventEngine {
   using Callback = std::function<void()>;
 
   SimTime Now() const { return now_; }
-
-  /// The old engine had no pre-sizing hook (std::priority_queue exposes
-  /// none); kept as a no-op so both engines run the same workload code.
-  void Reserve(size_t) {}
 
   void ScheduleAt(SimTime at, Callback cb) {
     if (at < now_) at = now_;
@@ -156,43 +153,62 @@ void RunLegacyPipeline(LegacyEventEngine& eng,
   eng.Run();
 }
 
-/// Side B — the shipping pipeline: thin by-reference arrivals (the
-/// schedule outlives the run, as in driver/experiment.cc), the payload
-/// rides the pipeline by value only where it genuinely transfers
-/// (endorsement results, assembly), and the commit fan-out shares one
-/// immutable payload between the delivering orgs' thin events.
+/// One transaction's pipeline on the pooled engine: the payload rides by
+/// value only where it genuinely transfers (endorsement results,
+/// assembly), and the commit fan-out shares one immutable payload between
+/// the delivering orgs' thin events.
+void SubmitPooled(Simulator& eng, const TxPayload& p, uint64_t& sink) {
+  for (int org = 0; org < 3; ++org) {
+    const double endorse_done = 0.0005 * (org + 1);
+    if (org < 2) {
+      eng.ScheduleAfter(endorse_done, [&sink, p] { sink += p.id; });
+    } else {
+      eng.ScheduleAfter(endorse_done, [&eng, &sink, p] {
+        sink += p.id;
+        eng.ScheduleAfter(0.0002, [&eng, &sink, p]() mutable {
+          sink += p.id;
+          // Commit fan-out: one shared immutable payload, moved out of
+          // the ordering event, referenced by both thin delivery events
+          // (the real pipeline amortizes this allocation over a whole
+          // block's fan-out).
+          auto committed = std::make_shared<const TxPayload>(std::move(p));
+          for (int dest = 0; dest < 2; ++dest) {
+            eng.ScheduleAfter(0.0001, [&sink, committed] {
+              sink += committed->id;
+            });
+          }
+        });
+      });
+    }
+  }
+}
+
+/// Side B — the shipping pipeline: thin by-reference arrivals chained one
+/// at a time under sequence numbers reserved up front, as
+/// driver/channel_run.cc feeds the schedule, so the queue holds only
+/// in-flight work.
 void RunPooledPipeline(Simulator& eng,
                        const std::vector<TxPayload>& schedule,
                        uint64_t& sink) {
-  eng.Reserve(schedule.size() + 64);
-  for (const TxPayload& req : schedule) {
-    eng.ScheduleAt(req.send_time, [&eng, &sink, &req] {
-      const TxPayload& p = req;
-      for (int org = 0; org < 3; ++org) {
-        const double endorse_done = 0.0005 * (org + 1);
-        if (org < 2) {
-          eng.ScheduleAfter(endorse_done, [&sink, p] { sink += p.id; });
-        } else {
-          eng.ScheduleAfter(endorse_done, [&eng, &sink, p] {
-            sink += p.id;
-            eng.ScheduleAfter(0.0002, [&eng, &sink, p]() mutable {
-              sink += p.id;
-              // Commit fan-out: one shared immutable payload, moved out
-              // of the ordering event, referenced by both thin delivery
-              // events (the real pipeline amortizes this allocation over
-              // a whole block's fan-out).
-              auto committed =
-                  std::make_shared<const TxPayload>(std::move(p));
-              for (int dest = 0; dest < 2; ++dest) {
-                eng.ScheduleAfter(0.0001, [&sink, committed] {
-                  sink += committed->id;
-                });
-              }
-            });
-          });
-        }
+  struct Arrival {
+    Simulator* eng;
+    const std::vector<TxPayload>* schedule;
+    uint64_t* sink;
+    uint64_t first_seq;
+    size_t i;
+    void operator()() const {
+      SubmitPooled(*eng, (*schedule)[i], *sink);
+      if (i + 1 < schedule->size()) {
+        eng->ScheduleAtSequence((*schedule)[i + 1].send_time,
+                                first_seq + i + 1,
+                                Arrival{eng, schedule, sink, first_seq, i + 1});
       }
-    });
+    }
+  };
+  const uint64_t first_seq = eng.ReserveSequence(schedule.size());
+  if (!schedule.empty()) {
+    eng.ScheduleAtSequence(schedule[0].send_time, first_seq,
+                           Arrival{&eng, &schedule, &sink, first_seq, 0});
   }
   eng.Run();
 }

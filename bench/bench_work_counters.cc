@@ -10,61 +10,20 @@
 // With --baseline, exits 1 when the baseline was taken at another size or
 // seed, a baseline workload is missing, or any of its counters exceeds the
 // baseline value by more than 2%.
-// Allocations are counted by replacing the global operator new, so this
-// binary must not link another allocation hook.
-#include <atomic>
+// Allocations are counted by counting_new.h's replaced global operator
+// new, so this binary must not link another allocation hook.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 
 #include "common/json.h"
+#include "counting_new.h"
 #include "driver/experiment.h"
 #include "driver/presets.h"
 #include "workload/synthetic.h"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<std::uint64_t> g_bytes{0};
-
-void* CountedAlloc(std::size_t size, std::size_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  g_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (size == 0) size = 1;
-  void* p = align <= alignof(std::max_align_t)
-                ? std::malloc(size)
-                : std::aligned_alloc(align, (size + align - 1) / align * align);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size, 0); }
-void* operator new[](std::size_t size) { return CountedAlloc(size, 0); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAlloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAlloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace blockoptr {
 namespace {
@@ -120,14 +79,15 @@ ExperimentConfig MakeConfig(const Workload& w) {
 /// Counter name -> value for one workload's RunExperiment call.
 Result<JsonValue::Object> Measure(const Workload& w) {
   const ExperimentConfig cfg = MakeConfig(w);
-  const uint64_t allocations = g_allocations.load();
-  const uint64_t bytes = g_bytes.load();
+  const uint64_t allocations = counting_new::allocations.load();
+  const uint64_t bytes = counting_new::bytes.load();
   auto out = RunExperiment(cfg);
   const double n = static_cast<double>(kTxs);
   JsonValue::Object counters;
   counters["allocations_per_tx"] =
-      static_cast<double>(g_allocations.load() - allocations) / n;
-  counters["bytes_per_tx"] = static_cast<double>(g_bytes.load() - bytes) / n;
+      static_cast<double>(counting_new::allocations.load() - allocations) / n;
+  counters["bytes_per_tx"] =
+      static_cast<double>(counting_new::bytes.load() - bytes) / n;
   if (!out.ok()) return out.status();
   counters["events_per_tx"] = static_cast<double>(out->events_processed) / n;
   counters["queue_peak"] = static_cast<uint64_t>(out->queue_peak);

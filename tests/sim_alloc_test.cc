@@ -4,17 +4,15 @@
 // grown to a run's high-water mark, schedule/fire cycles must not touch
 // the heap at all.
 //
-// The global operator new/delete are replaced with counting versions.
-// This binary is dedicated to allocation tests so the hook cannot
-// interfere with the rest of the suite.
+// The global operator new/delete are replaced with the counting versions
+// of bench/counting_new.h. This binary is dedicated to allocation tests so
+// the hook cannot interfere with the rest of the suite.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <utility>
 
+#include "../bench/counting_new.h"
 #include "common/thread_pool.h"
 #include "sim/service_station.h"
 #include "sim/simulator.h"
@@ -22,46 +20,11 @@
 #include "telemetry/telemetry.h"
 #include "telemetry/txtrace.h"
 
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(align);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded != 0 ? rounded : a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace blockoptr {
 namespace {
 
 std::uint64_t AllocationCount() {
-  return g_allocations.load(std::memory_order_relaxed);
+  return counting_new::allocations.load(std::memory_order_relaxed);
 }
 
 /// Self-rescheduling event: each firing schedules its successor through

@@ -10,6 +10,7 @@
 // With --baseline, exits 1 when the baseline was taken at another size or
 // seed, a baseline workload is missing, or any of its counters exceeds the
 // baseline value by more than 2%.
+//
 // Allocations are counted by counting_new.h's replaced global operator
 // new, so this binary must not link another allocation hook.
 #include <cstdint>

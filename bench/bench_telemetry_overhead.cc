@@ -6,16 +6,16 @@
 //   BM_E2E_TelemetryOff   — the shipping fast path (no Telemetry at all)
 //   BM_E2E_SamplerOnly    — continuous sampler only (the always-on
 //                           monitoring profile: time series + bottleneck
-//                           inputs, no flight recorder, no event metrics)
-//   BM_E2E_FullTelemetry  — flight recorder + event metrics + sampler (the
-//                           default profile behind every observability
-//                           flag)
+//                           inputs, no flight recorder)
+//   BM_E2E_FullTelemetry  — flight recorder + sampler, plus the metrics
+//                           registry filled once at run end (the default
+//                           profile behind every observability flag)
 //
 // The acceptance budget is SamplerOnly within 5% of TelemetryOff
 // throughput, and CI gates FullTelemetry/TelemetryOff <= 1.35. main()
-// prints an explicit interleaved A/B so the ratio is robust against
-// frequency-scaling drift, and `--json-out=PATH` dumps the
-// suite as BENCH_telemetry.json (schema blockoptr-bench-v1) for CI.
+// prints an explicit interleaved A/B of all three profiles so the ratios
+// are robust against frequency-scaling drift, and `--json-out=PATH` dumps
+// the suite as BENCH_telemetry.json (schema blockoptr-bench-v1) for CI.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -92,25 +92,32 @@ double Median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// Alternates off/sampler runs so drift (frequency scaling, cache state)
-/// hits both sides equally, then compares medians. The printed overhead is
-/// the number the <=5% acceptance budget is judged against.
+/// Alternates off/sampler/full runs so drift (frequency scaling, cache
+/// state) hits all three equally, then compares medians. The sampler-only
+/// overhead is the number the <=5% acceptance budget is judged against;
+/// the full-telemetry time ratio is the in-process reading of CI's
+/// FullTelemetry/TelemetryOff gate.
 void PrintInterleavedAB(int num_txs, int rounds) {
   const ExperimentConfig off =
       MakeConfig(num_txs, false, TelemetryOptions{});
   const ExperimentConfig sampled =
       MakeConfig(num_txs, true, TelemetryOptions::SamplerOnly());
-  std::vector<double> off_tps, sampled_tps;
+  const ExperimentConfig full =
+      MakeConfig(num_txs, true, TelemetryOptions{});
+  std::vector<double> off_tps, sampled_tps, full_tps;
   for (int r = 0; r < rounds; ++r) {
     off_tps.push_back(MeasureTxPerSec(off));
     sampled_tps.push_back(MeasureTxPerSec(sampled));
+    full_tps.push_back(MeasureTxPerSec(full));
   }
   const double a = Median(off_tps);
   const double b = Median(sampled_tps);
+  const double c = Median(full_tps);
   std::printf("\ninterleaved A/B at %d txs (%d rounds, median): "
               "telemetry-off %.0f tx/s, sampler-only %.0f tx/s -> "
-              "overhead %.1f%%\n",
-              num_txs, rounds, a, b, 100.0 * (a - b) / a);
+              "overhead %.1f%%; full telemetry %.0f tx/s -> %.3fx "
+              "telemetry-off time\n",
+              num_txs, rounds, a, b, 100.0 * (a - b) / a, c, a / c);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Exact work counters of RunExperiment: heap allocations and bytes
 // allocated per transaction, simulator events per transaction and the
 // event queue's peak depth, on the three perfbench workload configurations
-// at 25k transactions and seed 1. Unlike timings these repeat exactly for
-// one toolchain and standard library, so CI gates them tightly against the
-// committed bench/baselines/BENCH_work.json:
+// at 25k transactions and seed 1, plus batch-export's with full telemetry
+// (the profile every CLI telemetry flag runs). Unlike timings these repeat
+// exactly for one toolchain and standard library, so CI gates them tightly
+// against the committed bench/baselines/BENCH_work.json:
 //
 //   bench_work_counters [--json-out=F] [--baseline=F]
 //
@@ -35,7 +36,9 @@ constexpr uint64_t kSeed = 1;
 constexpr double kTolerance = 0.02;
 
 /// The perfbench workloads (perfbench/perfbench.cc), as far as
-/// RunExperiment sees them: the paper's Table 2 network, 300 TPS.
+/// RunExperiment sees them: the paper's Table 2 network, 300 TPS. perfbench
+/// runs with telemetry off; the telemetry entry pins what the default
+/// TelemetryOptions add on top.
 struct Workload {
   const char* name;
   SyntheticWorkloadType type;
@@ -44,13 +47,18 @@ struct Workload {
   bool stream;
   int channels;
   int sim_threads;
+  bool telemetry;
 };
 
 constexpr Workload kWorkloads[] = {
-    {"batch-export", SyntheticWorkloadType::kUniform, 1.0, "", false, 1, 1},
+    {"batch-export", SyntheticWorkloadType::kUniform, 1.0, "", false, 1, 1,
+     false},
     {"stream-hotkey", SyntheticWorkloadType::kUpdateHeavy, 2.0,
-     "fabricsharp", true, 1, 1},
-    {"sharded-4ch", SyntheticWorkloadType::kUniform, 1.0, "", false, 4, 2},
+     "fabricsharp", true, 1, 1, false},
+    {"sharded-4ch", SyntheticWorkloadType::kUniform, 1.0, "", false, 4, 2,
+     false},
+    {"batch-export+telemetry", SyntheticWorkloadType::kUniform, 1.0, "",
+     false, 1, 1, true},
 };
 
 /// The ExperimentConfig `blockoptr run --txs=25000 --seed=1` builds for the
@@ -74,6 +82,7 @@ ExperimentConfig MakeConfig(const Workload& w) {
   cfg.stream.enabled = w.stream;
   cfg.channels = w.channels;
   cfg.sim_threads = w.sim_threads;
+  cfg.enable_telemetry = w.telemetry;
   return cfg;
 }
 
@@ -133,7 +142,7 @@ bool CheckAgainstBaseline(const JsonValue& current, const std::string& path) {
           value.is_number() ? value.as_number() * (1 + kTolerance) : -1;
       const double now = got.is_number() ? got.as_number() : -1;
       const bool regressed = limit < 0 || now < 0 || now > limit;
-      std::printf("%s %-14s %-20s baseline %12.3f  now %12.3f\n",
+      std::printf("%s %-22s %-20s baseline %12.3f  now %12.3f\n",
                   regressed ? "FAIL" : "ok  ", name.c_str(), counter.c_str(),
                   value.is_number() ? value.as_number() : -1, now);
       ok = ok && !regressed;

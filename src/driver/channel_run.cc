@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "common/stats.h"
 #include "common/string_util.h"
 #include "driver/client_manager.h"
 #include "fabric/endorsement_policy.h"
@@ -87,6 +88,22 @@ Status CheckConfig(const ExperimentConfig& config) {
   return Status::OK();
 }
 
+/// A group of service stations summarized as one gauge: its min and max
+/// are the smallest and largest wait a job met at any of them, its value
+/// the largest backlog when the run ends.
+struct StationGroup {
+  RunningStats waits;
+  double backlog = 0;
+
+  void Add(const ServiceStation& station) {
+    waits.Merge(station.wait_stats());
+    backlog = std::max(backlog, station.CurrentDelay());
+  }
+  void SetGauge(Gauge& gauge) const {
+    gauge.Set(backlog, waits.min(), waits.max());
+  }
+};
+
 }  // namespace
 
 Result<std::unique_ptr<ChannelRun>> ChannelRun::Create(
@@ -159,9 +176,11 @@ Status ChannelRun::Setup(const ExperimentConfig& config, Schedule schedule) {
   }
 
   // Client manager: apply reordering / rate control to the workload.
-  schedule_ = ClientManager::Prepare(
-      std::move(schedule), config.client_manager,
-      output_.telemetry ? &output_.telemetry->metrics() : nullptr);
+  scheduled_ = schedule.size();
+  reordered_ = config.client_manager.HasReordering();
+  rate_cap_tps_ = config.client_manager.rate_cap_tps;
+  schedule_ =
+      ClientManager::Prepare(std::move(schedule), config.client_manager);
 
   // Fault injection: arrival faults reshape the prepared schedule;
   // runtime faults (crashes, endorser degradation) become simulator
@@ -280,15 +299,7 @@ ExperimentOutput ChannelRun::Finish() {
     // Seal the flight recorder's trailing exemplar window.
     output_.telemetry->txtrace()->Finalize(sim_.Now());
   }
-  if (output_.telemetry) {
-    // Engine-level gauges: how many events the run cost and how deep the
-    // queue got. Both are deterministic per config, so they are safe to
-    // snapshot (the sweep determinism harness compares full snapshots).
-    output_.telemetry->metrics().gauge("sim.events_processed")
-        .Set(static_cast<double>(sim_.num_processed()));
-    output_.telemetry->metrics().gauge("sim.queue_peak")
-        .Set(static_cast<double>(sim_.queue_peak()));
-  }
+  if (output_.telemetry) FillMetrics(output_.telemetry->metrics());
   faults_->FinalizeWindows(sim_.Now());
   output_.fault_windows = faults_->windows();
   output_.ledger = network_->TakeLedger();
@@ -298,6 +309,95 @@ ExperimentOutput ChannelRun::Finish() {
   output_.events_processed = sim_.num_processed();
   output_.queue_peak = sim_.queue_peak();
   return std::move(output_);
+}
+
+void ChannelRun::FillMetrics(MetricsRegistry& metrics) {
+  // A counter appears once its event happened (it is nonzero), except the
+  // ones a run always has: client_manager.scheduled_total, and validator.*
+  // from the first delivered block on.
+  auto count = [&metrics](const std::string& name, uint64_t n) {
+    if (n > 0) metrics.counter(name).Increment(n);
+  };
+  metrics.counter("client_manager.scheduled_total").Increment(scheduled_);
+  if (reordered_) count("client_manager.reordered_runs_total", 1);
+  if (rate_cap_tps_ > 0) {
+    count("client_manager.rate_capped_runs_total", 1);
+    metrics.gauge("client_manager.rate_cap_tps").Set(rate_cap_tps_);
+  }
+  // Engine-level gauges: how many events the run cost and how deep the
+  // queue got. Both are deterministic per config, so they are safe to
+  // snapshot (the sweep determinism harness compares full snapshots).
+  metrics.gauge("sim.events_processed")
+      .Set(static_cast<double>(sim_.num_processed()));
+  metrics.gauge("sim.queue_peak").Set(static_cast<double>(sim_.queue_peak()));
+
+  // Committed work. Every request committed or early-aborted, so every one
+  // that reached the orderer committed; the genesis block is not counted.
+  const PerformanceReport& report = output_.report;
+  count("client.requests_total", total_);
+  count("client.early_aborts_total", report.early_aborts());
+  count("orderer.txs_submitted_total", report.total_committed());
+  count("ledger.txs_committed_total", report.total_committed());
+  count("ledger.blocks_total", network_->ledger().NumBlocks() - 1);
+
+  // The orderer's own counts: config updates and blocks cut late in a run
+  // may never commit, so the ledger cannot stand in for them.
+  OrderingService& orderer = network_->orderer();
+  count("orderer.blocks_cut_total", orderer.blocks_cut());
+  count("orderer.config_txs_total", orderer.config_txs());
+  if (orderer.blocks_cut() > 0) {
+    metrics.histogram("orderer.block_fill_ratio",
+                      orderer.block_fill().bounds()) = orderer.block_fill();
+  }
+  const RaftCluster& raft = orderer.raft();
+  const FabricNetwork::PipelineTotals& totals = network_->totals();
+  count("raft.proposals_total", raft.proposals());
+  count("raft.messages_total", raft.messages_sent());
+  count("raft.elections_total", raft.elections());
+  count("raft.commits_total", totals.blocks_committed);
+  if (totals.blocks_committed > 0) {
+    metrics.counter("validator.blocks_validated_total")
+        .Increment(totals.blocks_committed);
+    metrics.counter("validator.valid_total").Increment(totals.valid_txs);
+    metrics.counter("validator.mvcc_conflicts")
+        .Increment(totals.mvcc_conflicts);
+    metrics.counter("validator.phantom_conflicts")
+        .Increment(totals.phantom_conflicts);
+    metrics.counter("validator.endorsement_failures")
+        .Increment(totals.endorsement_failures);
+  }
+  uint64_t proposals = 0;
+  for (const auto& [org, n] : network_->endorsement_counts()) proposals += n;
+  count("endorser.proposals_total", proposals);
+  count("endorser.rejections_total", totals.endorser_rejections);
+  count("endorser.outage_drops_total", totals.endorser_outage_drops);
+
+  // Station gauges, each set once its stations served the event it tracks.
+  StationGroup clients, endorsers, orderer_station;
+  for (int i = 0; i < network_->num_clients(); ++i) {
+    clients.Add(network_->client(i).station());
+  }
+  for (int org = 1; org <= network_->config().num_orgs; ++org) {
+    endorsers.Add(network_->peer(org).endorser_station());
+  }
+  orderer_station.Add(orderer.station());
+  if (total_ > 0) clients.SetGauge(metrics.gauge("client.queue_depth"));
+  if (proposals > 0) endorsers.SetGauge(metrics.gauge("endorser.queue_depth"));
+  if (report.total_committed() > 0) {
+    orderer_station.SetGauge(metrics.gauge("orderer.queue_depth"));
+  }
+  for (int org = 1; org <= network_->config().num_orgs; ++org) {
+    OrgPeer& peer = network_->peer(org);
+    const uint64_t blocks = peer.store().applied_height();
+    if (blocks == 0) continue;
+    const std::string prefix = "peer." + peer.org() + ".";
+    metrics.counter(prefix + "blocks_applied_total").Increment(blocks);
+    metrics.counter(prefix + "txs_applied_total")
+        .Increment(peer.txs_applied());
+    StationGroup validator;
+    validator.Add(peer.validator_station());
+    validator.SetGauge(metrics.gauge(prefix + "validator_backlog_s"));
+  }
 }
 
 }  // namespace blockoptr

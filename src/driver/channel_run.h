@@ -48,8 +48,8 @@ class ChannelRun : public Shard {
   SimTime NextTime() const override;
 
   /// Post-run finalization: report finish, stream/sampler/recorder
-  /// finalize, engine gauges, fault windows — then surrenders the output.
-  /// Call exactly once, after the run loop completed without error.
+  /// finalize, the run's metrics, fault windows — then surrenders the
+  /// output. Call exactly once, after the run loop completed without error.
   ExperimentOutput Finish();
 
   FabricNetwork& network() { return *network_; }
@@ -67,12 +67,23 @@ class ChannelRun : public Shard {
   /// submits the request and queues the next one.
   void ScheduleNextArrival();
 
+  /// Fills the telemetry registry once, at run end, from what the run
+  /// already counts: the report, the ledger, the network's totals and
+  /// endorsement counts, the orderer's, Raft's and each peer's tallies,
+  /// and the stations' wait statistics. The only code that names metrics.
+  void FillMetrics(MetricsRegistry& metrics);
+
   Simulator sim_;
   std::unique_ptr<FabricNetwork> network_;
   std::unique_ptr<FaultInjector> faults_;
   /// In firing order; arrival events reference entries in place.
   Schedule schedule_;
   size_t next_arrival_ = 0;
+  // What the client manager was handed (before arrival faults reshape the
+  // schedule) and did, for its run-end metrics.
+  size_t scheduled_ = 0;
+  bool reordered_ = false;
+  double rate_cap_tps_ = 0;
   uint64_t arrival_seq_ = 0;  // first sequence number reserved for arrivals
   ExperimentOutput output_;
   size_t completed_ = 0;

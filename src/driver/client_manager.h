@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/metrics.h"
 #include "workload/spec.h"
 
 namespace blockoptr {
@@ -38,11 +37,8 @@ struct ClientManagerSettings {
 /// returns the effective schedule the clients will execute.
 class ClientManager {
  public:
-  /// `metrics`, when non-null, receives `client_manager.*` counters
-  /// describing which transformations actually ran.
   static Schedule Prepare(Schedule schedule,
-                          const ClientManagerSettings& settings,
-                          MetricsRegistry* metrics = nullptr);
+                          const ClientManagerSettings& settings);
 };
 
 }  // namespace blockoptr

@@ -119,11 +119,8 @@ void FabricNetwork::SetReorderer(std::unique_ptr<BlockReorderer> reorderer) {
 }
 
 void FabricNetwork::set_telemetry(Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  event_metrics_ = telemetry ? telemetry->event_metrics() : nullptr;
   txtrace_ = telemetry ? telemetry->txtrace() : nullptr;
-  orderer_->set_telemetry(telemetry);
-  for (auto& peer : peers_) peer->set_metrics(event_metrics_);
+  orderer_->set_txtrace(txtrace_);
 
   Sampler* sampler = telemetry ? telemetry->sampler() : nullptr;
   if (sampler == nullptr) return;
@@ -302,11 +299,6 @@ Status FabricNetwork::Submit(const ClientRequest& request) {
 
   // Proposal creation occupies the client process.
   ClientProcess& cp = *clients_[static_cast<size_t>(entry.client_index)];
-  if (event_metrics_) {
-    event_metrics_->counter("client.requests_total").Increment();
-    event_metrics_->gauge("client.queue_depth")
-        .Set(cp.station().CurrentDelay());
-  }
   if (txtrace_) {
     // Stamped at the recorded client timestamp, so the chain's submit ->
     // commit latency is identical to the ledger's.
@@ -343,9 +335,7 @@ void FabricNetwork::StartEndorsement(uint64_t pending_id) {
         // executed; the client gives up after the RPC timeout and records
         // the refusal, so the outage surfaces as an endorsement failure
         // (or an early abort when no endorser answered) — never a hang.
-        if (event_metrics_) {
-          event_metrics_->counter("endorser.outage_drops_total").Increment();
-        }
+        ++totals_.endorser_outage_drops;
         std::string down_org = peer.org();
         sim_->ScheduleAfter(
             config_.latency.endorse_timeout_s,
@@ -371,11 +361,6 @@ void FabricNetwork::StartEndorsement(uint64_t pending_id) {
       }
       Chaincode* cc = FindChaincode(pit->second.request.chaincode);
       assert(cc != nullptr);
-      if (event_metrics_) {
-        event_metrics_->counter("endorser.proposals_total").Increment();
-        event_metrics_->gauge("endorser.queue_depth")
-            .Set(peer.endorser_station().CurrentDelay());
-      }
       if (txtrace_) {
         txtrace_->TxEvent(pending_id, TxStage::kEndorseStart,
                           static_cast<uint16_t>(org));
@@ -405,10 +390,7 @@ void FabricNetwork::StartEndorsement(uint64_t pending_id) {
                                 static_cast<uint16_t>(org),
                                 static_cast<float>(cost));
             }
-            if (event_metrics_ && !result.status.ok()) {
-              event_metrics_->counter("endorser.rejections_total")
-                  .Increment();
-            }
+            if (!result.status.ok()) ++totals_.endorser_rejections;
             sim_->ScheduleAfter(
                 NetworkDelay(),
                 [this, pending_id, org_name = std::move(org_name),
@@ -446,9 +428,6 @@ void FabricNetwork::OnEndorsementsComplete(uint64_t pending_id) {
   if (ok_indices.empty()) {
     // Unanimous chaincode rejection: early abort, never ordered.
     ++early_aborts_;
-    if (event_metrics_) {
-      event_metrics_->counter("client.early_aborts_total").Increment();
-    }
     if (txtrace_) txtrace_->AbortTx(pending_id);
     if (on_early_abort_) {
       on_early_abort_(pending.request,
@@ -536,9 +515,9 @@ void FabricNetwork::DeliverBlock(Block block) {
   // identical on every peer (Fabric's deterministic validation).
   BlockValidationStats vstats =
       ValidateAndApplyBlock(block, committed_state_, policy_);
-  if (event_metrics_) RecordValidationStats(vstats, *event_metrics_);
   // Always-on totals (a handful of integer adds per *block*): these feed
-  // the sampler's throughput / conflict-rate / fill series.
+  // the sampler's throughput / conflict-rate / fill series and the
+  // run-end validator.* metrics.
   totals_.valid_txs += vstats.valid;
   totals_.mvcc_conflicts += vstats.mvcc_conflicts;
   totals_.phantom_conflicts += vstats.phantom_conflicts;
@@ -605,21 +584,12 @@ void FabricNetwork::DeliverBlock(Block block) {
           }
           uint64_t num = ledger_.Append(std::move(shared->block));
           const Block& appended = ledger_.GetBlock(num);
-          if (event_metrics_) {
-            event_metrics_->counter("ledger.blocks_total").Increment();
-          }
-          if (event_metrics_ || txtrace_) {
+          if (txtrace_) {
             for (const auto& tx : appended.transactions) {
               if (tx.is_config) continue;
-              if (event_metrics_) {
-                event_metrics_->counter("ledger.txs_committed_total")
-                    .Increment();
-              }
-              if (txtrace_) {
-                txtrace_->CommitTx(tx.tx_id, tx.client_timestamp,
-                                   static_cast<uint32_t>(appended.block_num),
-                                   tx.status != TxStatus::kValid);
-              }
+              txtrace_->CommitTx(tx.tx_id, tx.client_timestamp,
+                                 static_cast<uint32_t>(appended.block_num),
+                                 tx.status != TxStatus::kValid);
             }
           }
           if (on_block_commit_) on_block_commit_(appended);

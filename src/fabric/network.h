@@ -65,26 +65,29 @@ class FabricNetwork {
   /// the ordering service.
   void SetReorderer(std::unique_ptr<BlockReorderer> reorderer);
 
-  /// Attaches the flight recorder, metrics, and the continuous
-  /// sampler (registering pipeline series + every ServiceStation as
-  /// sampler sources). `telemetry` must outlive the network; pass nullptr
-  /// (the default state) to disable — the off path does no recording work
-  /// at all. Individual aspects follow the telemetry's options: the
-  /// network caches per-aspect pointers, so a disabled aspect costs one
-  /// null check per site. Call before Start().
+  /// Attaches the flight recorder and the continuous sampler (registering
+  /// pipeline series + every ServiceStation as sampler sources).
+  /// `telemetry` must outlive the network; pass nullptr (the default
+  /// state) to disable — the off path does no recording work at all, and
+  /// a disabled recorder costs one null check per site. The network never
+  /// writes the metrics registry: the driver fills it at run end from
+  /// totals(), the components' own counts and the ledger. Call before
+  /// Start().
   void set_telemetry(Telemetry* telemetry);
-  Telemetry* telemetry() { return telemetry_; }
 
-  /// Always-on cumulative pipeline outcome counts (cheap integer adds per
-  /// block): the sampler's throughput / conflict-rate sources read these,
-  /// and they are maintained even with telemetry off.
+  /// Always-on cumulative pipeline outcome counts (a few integer adds per
+  /// block or proposal): the sampler's throughput / conflict-rate sources
+  /// and the run-end metrics read these, and they are maintained even
+  /// with telemetry off.
   struct PipelineTotals {
     uint64_t valid_txs = 0;
     uint64_t mvcc_conflicts = 0;
     uint64_t phantom_conflicts = 0;
     uint64_t endorsement_failures = 0;
-    uint64_t blocks_committed = 0;
+    uint64_t blocks_committed = 0;  // delivered (validated) blocks
     double block_fill_sum = 0;  // sum of per-block fill ratios
+    uint64_t endorser_rejections = 0;    // proposals a chaincode rejected
+    uint64_t endorser_outage_drops = 0;  // proposals sent to a down endorser
   };
   const PipelineTotals& totals() const { return totals_; }
 
@@ -208,12 +211,9 @@ class FabricNetwork {
   Rng rng_;
   double peer_scale_ = 1.0;  // cluster resource contention (see config.h)
   double client_load_scale_ = 1.0;  // cross-channel coupling (see above)
-  Telemetry* telemetry_ = nullptr;  // optional, not owned
-  // Cached per-aspect handles (null when the aspect is disabled), so
-  // recording sites pay one pointer check and sampler-only runs skip the
-  // per-transaction recording and metric work entirely.
-  MetricsRegistry* event_metrics_ = nullptr;  // not owned
-  TxTraceRecorder* txtrace_ = nullptr;        // not owned
+  // The flight recorder (null when disabled), so recording sites pay one
+  // pointer check and sampler-only runs skip per-transaction recording.
+  TxTraceRecorder* txtrace_ = nullptr;  // not owned
 
   std::vector<std::unique_ptr<ClientProcess>> clients_;
   std::vector<std::vector<int>> org_client_indices_;  // per org (0-based)

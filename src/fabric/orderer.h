@@ -14,7 +14,8 @@
 #include "raft/raft_cluster.h"
 #include "sim/service_station.h"
 #include "sim/simulator.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/metrics.h"
+#include "telemetry/txtrace.h"
 
 namespace blockoptr {
 
@@ -58,9 +59,12 @@ class OrderingService {
   }
   const BlockReorderer* reorderer() const { return reorderer_.get(); }
 
-  /// Attaches the flight recorder + metrics (also wires the Raft
-  /// cluster's); nullptr disables. `telemetry` must outlive the service.
-  void set_telemetry(Telemetry* telemetry);
+  /// Attaches the flight recorder (also the Raft cluster's); nullptr
+  /// disables. `txtrace` must outlive the service.
+  void set_txtrace(TxTraceRecorder* txtrace) {
+    txtrace_ = txtrace;
+    raft_.set_txtrace(txtrace);
+  }
 
   /// Starts the Raft cluster (elects the first leader).
   void Start();
@@ -77,6 +81,10 @@ class OrderingService {
   void Flush();
 
   uint64_t blocks_cut() const { return blocks_cut_; }
+  /// Channel-config transactions accepted (SubmitConfig calls).
+  uint64_t config_txs() const { return config_txs_; }
+  /// Each cut block's size over the max_tx_count in force when it was cut.
+  const Histogram& block_fill() const { return block_fill_; }
   const RaftCluster& raft() const { return raft_; }
   /// Mutable access for failure injection (crash/restart orderer nodes).
   RaftCluster& mutable_raft() { return raft_; }
@@ -105,14 +113,13 @@ class OrderingService {
   uint64_t batch_bytes_ = 0;
   uint64_t timeout_gen_ = 0;
 
-  // Per-aspect telemetry handles, cached from Telemetry::options() (null
-  // when disabled — see FabricNetwork's pointer-guard discipline).
-  MetricsRegistry* metrics_ = nullptr;  // optional, not owned
   TxTraceRecorder* txtrace_ = nullptr;  // optional, not owned
 
   std::map<uint64_t, Block> inflight_;
   uint64_t next_payload_id_ = 1;
   uint64_t blocks_cut_ = 0;
+  uint64_t config_txs_ = 0;
+  Histogram block_fill_{Histogram::RatioBounds()};
 };
 
 }  // namespace blockoptr

@@ -1,12 +1,12 @@
 #ifndef BLOCKOPTR_FABRIC_PEER_H_
 #define BLOCKOPTR_FABRIC_PEER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "sim/service_station.h"
 #include "statedb/versioned_store.h"
-#include "telemetry/metrics.h"
 
 namespace blockoptr {
 
@@ -29,19 +29,17 @@ class OrgPeer {
   ServiceStation& endorser_station() { return *endorser_station_; }
   ServiceStation& validator_station() { return *validator_station_; }
 
-  /// Attaches per-peer metrics (`peer.<org>.*`); nullptr disables.
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
-
-  /// Records commit-side metrics after this peer applied a block. No-op
-  /// without a registry.
-  void OnBlockApplied(size_t num_txs);
+  /// Counts a block of `num_txs` transactions this peer applied (the
+  /// store's applied_height() counts the blocks).
+  void OnBlockApplied(size_t num_txs) { txs_applied_ += num_txs; }
+  uint64_t txs_applied() const { return txs_applied_; }
 
  private:
   std::string org_;
   VersionedStore store_;
   std::unique_ptr<ServiceStation> endorser_station_;
   std::unique_ptr<ServiceStation> validator_station_;
-  MetricsRegistry* metrics_ = nullptr;  // optional, not owned
+  uint64_t txs_applied_ = 0;
 };
 
 }  // namespace blockoptr

@@ -129,15 +129,4 @@ BlockValidationStats ValidateAndApplyBlock(Block& block, VersionedStore& state,
   return stats;
 }
 
-void RecordValidationStats(const BlockValidationStats& stats,
-                           MetricsRegistry& metrics) {
-  metrics.counter("validator.valid_total").Increment(stats.valid);
-  metrics.counter("validator.mvcc_conflicts").Increment(stats.mvcc_conflicts);
-  metrics.counter("validator.phantom_conflicts")
-      .Increment(stats.phantom_conflicts);
-  metrics.counter("validator.endorsement_failures")
-      .Increment(stats.endorsement_failures);
-  metrics.counter("validator.blocks_validated_total").Increment();
-}
-
 }  // namespace blockoptr

@@ -6,7 +6,6 @@
 #include "fabric/endorsement_policy.h"
 #include "ledger/block.h"
 #include "statedb/versioned_store.h"
-#include "telemetry/metrics.h"
 
 namespace blockoptr {
 
@@ -49,11 +48,6 @@ BlockValidationStats ValidateAndApplyBlock(Block& block, VersionedStore& state,
 /// for tests and for the reordering schedulers, which need the same
 /// semantics to predict conflicts).
 bool ReadsAreCurrent(const ReadWriteSet& rwset, const VersionedStore& state);
-
-/// Accumulates one block's validation outcomes into the standard
-/// `validator.*` counters (`validator.mvcc_conflicts`, ...).
-void RecordValidationStats(const BlockValidationStats& stats,
-                           MetricsRegistry& metrics);
 
 }  // namespace blockoptr
 

@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "raft/raft_node.h"
 #include "sim/simulator.h"
-#include "telemetry/metrics.h"
 #include "telemetry/txtrace.h"
 
 namespace blockoptr {
@@ -77,9 +76,9 @@ class RaftCluster {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
   uint64_t messages_sent() const { return messages_sent_; }
-
-  /// Attaches consensus metrics (`raft.*`); nullptr disables.
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
+  uint64_t proposals() const { return proposals_; }
+  /// Leaders elected, the first one included.
+  uint64_t elections() const { return elections_; }
 
   /// Attaches the flight recorder (block-scoped kRaft* events, chained on
   /// the payload id); nullptr disables.
@@ -100,7 +99,8 @@ class RaftCluster {
   /// re-proposals after a leader crash in their original order.
   std::set<uint64_t> outstanding_;
   uint64_t messages_sent_ = 0;
-  MetricsRegistry* metrics_ = nullptr;  // optional, not owned
+  uint64_t proposals_ = 0;
+  uint64_t elections_ = 0;
   TxTraceRecorder* txtrace_ = nullptr;  // optional, not owned
 };
 

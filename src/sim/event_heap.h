@@ -19,16 +19,13 @@ namespace blockoptr {
 ///     16-to-24-byte handles — so the extra comparisons per level are
 ///     cheaper than the extra levels.
 ///   - Sift-up (the push path) is strictly shallower.
-/// Unlike `std::priority_queue`, the heap exposes `Reserve()` so a run of
-/// known size never reallocates, and `PopMin()` *moves* the minimum out
+/// Unlike `std::priority_queue`, `PopMin()` *moves* the minimum out
 /// instead of forcing the top()-copy-then-pop dance.
 template <typename Handle>
 class FourAryEventHeap {
  public:
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
-  size_t capacity() const { return heap_.capacity(); }
-  void Reserve(size_t n) { heap_.reserve(n); }
 
   /// The (time, seq)-minimum handle. Undefined when empty.
   const Handle& Min() const { return heap_.front(); }

@@ -38,16 +38,6 @@ void Simulator::ScheduleAfter(SimTime delay, Callback cb) {
   ScheduleAt(now_ + delay, std::move(cb));
 }
 
-void Simulator::Reserve(size_t events) {
-  queue_.Reserve(events);
-  // Pre-grow the slot pool and chain the new slots into the free list.
-  while (slots_.size() < events) {
-    uint32_t slot = static_cast<uint32_t>(slots_.emplace_back());
-    slots_[slot].next_free = free_head_;
-    free_head_ = slot;
-  }
-}
-
 bool Simulator::Step() {
   if (queue_.empty()) return false;
   EventRef ref = queue_.PopMin();

@@ -95,11 +95,6 @@ class Simulator {
     Push(at, seq, slot);
   }
 
-  /// Pre-sizes the event heap and the callback slot pool for a run with
-  /// up to `events` simultaneously pending events, so the warm-up
-  /// allocations happen here instead of mid-run.
-  void Reserve(size_t events);
-
   /// Runs until the event queue is empty. Careful: components with
   /// self-re-arming timers (e.g. Raft heartbeats) keep the queue non-empty
   /// forever — drive those with RunUntil() or a completion predicate.

@@ -16,6 +16,13 @@ void Gauge::Set(double v) {
   }
 }
 
+void Gauge::Set(double value, double min, double max) {
+  value_ = value;
+  min_ = min;
+  max_ = max;
+  seen_ = true;
+}
+
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   counts_.assign(bounds_.size() + 1, 0);
@@ -32,34 +39,8 @@ void Histogram::Observe(double v) {
   sum_ += v;
 }
 
-double Histogram::Quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the target observation (1-based, ceil): the value below which
-  // at least q of the mass lies.
-  double target = q * static_cast<double>(count_);
-  if (target < 1.0) target = 1.0;
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    uint64_t in_bucket = counts_[i];
-    if (in_bucket == 0) continue;
-    double reached = static_cast<double>(cumulative + in_bucket);
-    if (reached + 1e-9 < target) {
-      cumulative += in_bucket;
-      continue;
-    }
-    if (i >= bounds_.size()) {
-      // Overflow bucket: unbounded above, clamp to the last finite bound
-      // (or the mean for a degenerate bounds-free histogram).
-      return bounds_.empty() ? Mean() : bounds_.back();
-    }
-    double lower = i == 0 ? 0.0 : bounds_[i - 1];
-    double upper = bounds_[i];
-    double frac = (target - static_cast<double>(cumulative)) /
-                  static_cast<double>(in_bucket);
-    return lower + (upper - lower) * frac;
-  }
-  return bounds_.empty() ? Mean() : bounds_.back();
+std::vector<double> Histogram::RatioBounds() {
+  return {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
@@ -75,15 +56,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
     it = histograms_.emplace(name, Histogram(std::move(bounds))).first;
   }
   return it->second;
-}
-
-std::vector<double> MetricsRegistry::DefaultLatencyBounds() {
-  return {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1,
-          0.2,   0.5,   1.0,   2.0,  5.0,  10.0};
-}
-
-std::vector<double> MetricsRegistry::RatioBounds() {
-  return {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
 }
 
 JsonValue MetricsRegistry::SnapshotJson() const {

@@ -26,7 +26,9 @@ class Counter {
 class Gauge {
  public:
   void Set(double v);
-  void Add(double delta) { Set(value_ + delta); }
+  /// Sets the value and, as given, the extremes of a range observed
+  /// elsewhere (a station's smallest and largest wait).
+  void Set(double value, double min, double max);
 
   double value() const { return value_; }
   double min() const { return seen_ ? min_ : 0.0; }
@@ -49,20 +51,15 @@ class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
 
+  /// Upper bounds for ratios in [0, 1] (e.g. block fill ratio).
+  static std::vector<double> RatioBounds();
+
   void Observe(double v);
 
   uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double Mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
 
-  /// Bucket-interpolated quantile estimate, `q` in [0, 1]: finds the
-  /// bucket holding the q-th observation and interpolates linearly within
-  /// its [lower, upper] bound range (Prometheus `histogram_quantile`
-  /// semantics; the first bucket's lower bound is 0 for these
-  /// non-negative latency/ratio histograms). Quantiles that land in the
-  /// unbounded overflow bucket clamp to the last finite bound. Returns 0
-  /// for an empty histogram.
-  double Quantile(double q) const;
   const std::vector<double>& bounds() const { return bounds_; }
   /// bounds().size() + 1 entries; the last is the overflow bucket.
   const std::vector<uint64_t>& bucket_counts() const { return counts_; }
@@ -74,10 +71,10 @@ class Histogram {
   double sum_ = 0;
 };
 
-/// Named metric registry shared by all simulated components. Components
-/// register/look up metrics by dotted name (`orderer.block_fill_ratio`);
-/// repeated lookups return the same instance, so hot paths can cache the
-/// reference.
+/// Named metric registry of one run, keyed by dotted name
+/// (`orderer.block_fill_ratio`); repeated lookups return the same
+/// instance. The driver fills it once when the run ends, from the counts
+/// the simulated components keep (ChannelRun::Finish).
 ///
 /// Thread-safety contract: a registry is *single-threaded by design* — it
 /// holds no locks and no static mutable state. The parallel experiment
@@ -91,17 +88,7 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   /// Creates the histogram with `bounds` on first use; later lookups
   /// ignore `bounds`.
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> bounds = DefaultLatencyBounds());
-
-  /// Upper bounds suited to the simulator's sub-second stage latencies.
-  static std::vector<double> DefaultLatencyBounds();
-  /// Upper bounds for ratios in [0, 1] (e.g. block fill ratio).
-  static std::vector<double> RatioBounds();
-
-  bool empty() const {
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
-  }
+  Histogram& histogram(const std::string& name, std::vector<double> bounds);
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }

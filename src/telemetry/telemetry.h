@@ -10,21 +10,19 @@
 
 namespace blockoptr {
 
-/// Which aspects of a telemetry-enabled run are recorded. The aspects are
-/// independent so high-frequency runs can keep the cheap continuous
-/// sampler while shedding the per-transaction costs:
-///   - txtrace:       the per-transaction flight recorder: packed
-///                    lifecycle events in a fixed ring, with critical-path
-///                    extraction and tail-latency exemplars. Every trace
-///                    export (--trace-out, --trace-csv, --txtrace-out) and
-///                    the stage table derive from it.
-///   - event_metrics: per-event counter/gauge updates at every pipeline
-///                    touch point (map lookups by dotted name).
-///   - sampling:      the continuous Sampler — one tick per period
-///                    regardless of load, so its cost is O(sim-time), not
-///                    O(transactions).
+/// Which aspects of a telemetry-enabled run are recorded. The two aspects
+/// are independent so high-frequency runs can keep the cheap continuous
+/// sampler while shedding the per-transaction cost:
+///   - txtrace:  the per-transaction flight recorder: packed lifecycle
+///               events in a fixed ring, with critical-path extraction and
+///               tail-latency exemplars. Every trace export (--trace-out,
+///               --trace-csv, --txtrace-out) and the stage table derive
+///               from it.
+///   - sampling: the continuous Sampler — one tick per period regardless
+///               of load, so its cost is O(sim-time), not O(transactions).
+/// The metrics registry is not an aspect: the driver fills it once at run
+/// end from counts the run keeps anyway, so it records nothing per event.
 struct TelemetryOptions {
-  bool event_metrics = true;
   /// Sampler period in virtual seconds; <= 0 disables the sampler.
   double sample_period_s = 0.5;
   /// Point capacity of each sampled TimeSeries.
@@ -33,45 +31,43 @@ struct TelemetryOptions {
   /// off leaves one null check per hook and allocates nothing).
   TxTraceOptions txtrace;
 
-  /// Continuous monitoring only: flight recorder and per-event metrics
-  /// off, sampler on. The always-on low-overhead profile.
+  /// Continuous monitoring only: flight recorder off, sampler on. The
+  /// always-on low-overhead profile.
   static TelemetryOptions SamplerOnly() {
     TelemetryOptions opts;
-    opts.event_metrics = false;
     opts.txtrace.enabled = false;
     return opts;
   }
 
-  /// Flight recorder only: per-event metrics and the sampler off.
+  /// Flight recorder only: the sampler off.
   static TelemetryOptions TxTraceOnly() {
     TelemetryOptions opts;
-    opts.event_metrics = false;
     opts.sample_period_s = 0;
     return opts;
   }
 };
 
 /// Bundles the per-run observability state: one metrics registry, one
-/// continuous sampler and one flight recorder, shared by every simulated
+/// continuous sampler and one flight recorder, for every simulated
 /// component of a network.
 ///
-/// Components hold a nullable `Telemetry*` and cache per-aspect pointers
-/// (`MetricsRegistry*` / `TxTraceRecorder*`, null when that aspect is
-/// disabled), guarding every recording site with a null check — the
-/// disabled path does no work and allocates nothing, so telemetry-off runs
-/// behave exactly like the uninstrumented simulator.
+/// Components are handed a nullable `Telemetry*` and cache the aspect
+/// pointers they record into (null when that aspect is disabled), guarding
+/// every recording site with a null check — the disabled path does no work
+/// and allocates nothing, so telemetry-off runs behave exactly like the
+/// uninstrumented simulator. No component writes the registry;
+/// ChannelRun::Finish fills it once.
 class Telemetry {
  public:
   /// `sim` must outlive all recording calls (exports may happen later).
-  explicit Telemetry(Simulator* sim, TelemetryOptions options = {})
-      : options_(options) {
-    if (options_.sample_period_s > 0) {
+  explicit Telemetry(Simulator* sim, TelemetryOptions options = {}) {
+    if (options.sample_period_s > 0) {
       sampler_ = std::make_unique<Sampler>(
-          sim, SamplerConfig{options_.sample_period_s,
-                             options_.series_capacity});
+          sim, SamplerConfig{options.sample_period_s,
+                             options.series_capacity});
     }
-    if (options_.txtrace.enabled) {
-      txtrace_ = std::make_unique<TxTraceRecorder>(sim, options_.txtrace);
+    if (options.txtrace.enabled) {
+      txtrace_ = std::make_unique<TxTraceRecorder>(sim, options.txtrace);
     }
   }
 
@@ -81,11 +77,8 @@ class Telemetry {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// The per-aspect accessors components cache: null when disabled.
-  MetricsRegistry* event_metrics() {
-    return options_.event_metrics ? &metrics_ : nullptr;
-  }
-  /// Null when `sample_period_s <= 0`.
+  /// The per-aspect accessors components cache. Null when
+  /// `sample_period_s <= 0`.
   Sampler* sampler() { return sampler_.get(); }
   const Sampler* sampler() const { return sampler_.get(); }
   /// Null unless `txtrace.enabled`.
@@ -93,7 +86,6 @@ class Telemetry {
   const TxTraceRecorder* txtrace() const { return txtrace_.get(); }
 
  private:
-  TelemetryOptions options_;
   MetricsRegistry metrics_;
   std::unique_ptr<Sampler> sampler_;
   std::unique_ptr<TxTraceRecorder> txtrace_;

@@ -61,15 +61,6 @@ TEST(SimAllocTest, SteadyStateSchedulingIsAllocationFree) {
   EXPECT_EQ(delta, 0u);
 }
 
-TEST(SimAllocTest, ReservedColdStartIsAllocationFree) {
-  Simulator sim;
-  sim.Reserve(512);
-  const std::uint64_t before = AllocationCount();
-  RunChurn(sim, 1000, 256);  // peak pending = 257 <= 512 reserved
-  const std::uint64_t delta = AllocationCount() - before;
-  EXPECT_EQ(delta, 0u);
-}
-
 TEST(SimAllocTest, WarmServiceStationSubmitIsAllocationFree) {
   Simulator sim;
   ServiceStation station(&sim, "station", 2);

@@ -146,15 +146,6 @@ TEST(EventHeapTest, MatchesPriorityQueueOnRandomizedSchedules) {
   }
 }
 
-TEST(EventHeapTest, ReservePreventsReallocation) {
-  FourAryEventHeap<TestHandle> heap;
-  heap.Reserve(100);
-  size_t cap = heap.capacity();
-  EXPECT_GE(cap, 100u);
-  for (uint64_t i = 0; i < 100; ++i) heap.Push(TestHandle{1.0, i});
-  EXPECT_EQ(heap.capacity(), cap);
-}
-
 // ---------------------------------------------------------------------------
 // Simulator — engine-level contracts of the rebuilt core
 // ---------------------------------------------------------------------------

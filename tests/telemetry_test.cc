@@ -10,6 +10,7 @@
 #include "common/json.h"
 #include "driver/experiment.h"
 #include "driver/faults.h"
+#include "driver/presets.h"
 #include "sim/simulator.h"
 #include "telemetry/bottleneck.h"
 #include "telemetry/export.h"
@@ -51,9 +52,6 @@ TEST(MetricsTest, GaugeTracksExtremes) {
   EXPECT_DOUBLE_EQ(g.value(), 5.0);
   EXPECT_DOUBLE_EQ(g.min(), 3.0);
   EXPECT_DOUBLE_EQ(g.max(), 10.0);
-  g.Add(-7);
-  EXPECT_DOUBLE_EQ(g.value(), -2.0);
-  EXPECT_DOUBLE_EQ(g.min(), -2.0);
 }
 
 TEST(MetricsTest, UntouchedGaugeIsAllZero) {
@@ -80,45 +78,9 @@ TEST(MetricsTest, HistogramBucketsAreInclusiveUpperBounds) {
 }
 
 TEST(MetricsTest, EmptyHistogramMeanIsZero) {
-  Histogram h(MetricsRegistry::RatioBounds());
+  Histogram h(Histogram::RatioBounds());
   EXPECT_EQ(h.count(), 0u);
   EXPECT_DOUBLE_EQ(h.Mean(), 0.0);
-}
-
-TEST(MetricsTest, EmptyHistogramQuantileIsZero) {
-  Histogram h({1.0, 2.0});
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 0.0);
-}
-
-TEST(MetricsTest, QuantileInterpolatesWithinABucket) {
-  Histogram h({1.0, 2.0, 5.0});
-  // 10 observations, all in the (1, 2] bucket.
-  for (int i = 0; i < 10; ++i) h.Observe(1.5);
-  // The q-th observation interpolates across the bucket's [1, 2] range.
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 1.5);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 2.0);
-  EXPECT_NEAR(h.Quantile(0.1), 1.1, 1e-9);
-  // Out-of-range q clamps.
-  EXPECT_DOUBLE_EQ(h.Quantile(-1), h.Quantile(0));
-  EXPECT_DOUBLE_EQ(h.Quantile(2), h.Quantile(1));
-}
-
-TEST(MetricsTest, QuantileFirstBucketInterpolatesFromZero) {
-  Histogram h({4.0, 8.0});
-  h.Observe(1);
-  h.Observe(2);  // both land in the first bucket: [0, 4]
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 2.0);  // 0 + 4 * (1/2)
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 4.0);
-}
-
-TEST(MetricsTest, QuantileInOverflowBucketClampsToLastBound) {
-  Histogram h({1.0, 2.0});
-  h.Observe(0.5);
-  h.Observe(100);  // overflow bucket, unbounded above
-  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 2.0);
-  // A quantile resolved below the overflow bucket still interpolates.
-  EXPECT_LE(h.Quantile(0.25), 1.0);
 }
 
 TEST(MetricsTest, GaugeSnapshotEmitsNullExtremesWhenNeverSet) {
@@ -139,7 +101,7 @@ TEST(MetricsTest, SnapshotJsonRoundTrips) {
   MetricsRegistry reg;
   reg.counter("orderer.blocks_cut_total").Increment(3);
   reg.gauge("endorser.queue_depth").Set(0.25);
-  reg.histogram("orderer.block_fill_ratio", MetricsRegistry::RatioBounds())
+  reg.histogram("orderer.block_fill_ratio", Histogram::RatioBounds())
       .Observe(0.5);
 
   auto parsed = JsonValue::Parse(reg.SnapshotJson().Dump());
@@ -155,11 +117,11 @@ TEST(MetricsTest, SnapshotJsonRoundTrips) {
 
 TEST(MetricsTest, EmptyRegistry) {
   MetricsRegistry reg;
-  EXPECT_TRUE(reg.empty());
   auto parsed = JsonValue::Parse(reg.SnapshotJson().Dump());
   ASSERT_TRUE(parsed.ok());
-  reg.counter("c");
-  EXPECT_FALSE(reg.empty());
+  EXPECT_TRUE((*parsed)["counters"].as_object().empty());
+  EXPECT_TRUE((*parsed)["gauges"].as_object().empty());
+  EXPECT_TRUE((*parsed)["histograms"].as_object().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -327,28 +289,168 @@ TEST(TracedExperimentTest, SpanLatencyMatchesLedgerLatencyExactly) {
   EXPECT_GT(checked, 0u);
 }
 
+/// The config `blockoptr run --txs=N --rate=R --block-count=B
+/// --metrics-out=F` builds (uniform workload, seed 1).
+ExperimentConfig CliExperiment(int num_txs, double rate = 300,
+                               uint32_t block_count = 300) {
+  SyntheticConfig wl;
+  wl.num_txs = num_txs;
+  wl.send_rate = rate;
+  NetworkConfig net = NetworkConfig::Defaults();
+  net.seed = 42;
+  net.block_cutting.max_tx_count = block_count;
+  net.block_cutting.timeout_s = 1.0;
+  ExperimentConfig cfg = MakeSyntheticExperiment(wl, net);
+  cfg.enable_telemetry = true;
+  return cfg;
+}
+
+ExperimentOutput RunOk(const ExperimentConfig& cfg) {
+  auto out = RunExperiment(cfg);
+  EXPECT_TRUE(out.ok()) << out.status();
+  return out.ok() ? std::move(*out) : ExperimentOutput{};
+}
+
+std::set<std::string> CounterNames(const MetricsRegistry& m) {
+  std::set<std::string> names;
+  for (const auto& [name, c] : m.counters()) names.insert(name);
+  return names;
+}
+
 TEST(TracedExperimentTest, ComponentMetricsArePopulated) {
   ExperimentConfig cfg = SmallExperiment();
   cfg.enable_telemetry = true;
-  auto out = RunExperiment(cfg);
-  ASSERT_TRUE(out.ok()) << out.status();
+  const ExperimentOutput out = RunOk(cfg);
+  ASSERT_NE(out.telemetry, nullptr);
 
-  MetricsRegistry& m = out->telemetry->metrics();
-  EXPECT_EQ(m.counter("ledger.txs_committed_total").value(),
-            out->report.total_committed());
-  EXPECT_GT(m.counter("client.requests_total").value(), 0u);
-  EXPECT_GT(m.counter("endorser.proposals_total").value(), 0u);
-  EXPECT_GT(m.counter("orderer.blocks_cut_total").value(), 0u);
-  EXPECT_GT(m.counter("raft.proposals_total").value(), 0u);
-  EXPECT_GT(m.counter("raft.commits_total").value(), 0u);
-  EXPECT_GT(m.counter("validator.blocks_validated_total").value(), 0u);
-  EXPECT_GT(m.histogram("orderer.block_fill_ratio").count(), 0u);
-  EXPECT_EQ(m.counter("validator.valid_total").value() > 0 ||
-                m.counter("validator.mvcc_conflicts").value() > 0,
-            true);
+  // Each counter equals the number the run already keeps.
+  const MetricsRegistry& m = out.telemetry->metrics();
+  auto counter = [&m](const std::string& name) {
+    auto it = m.counters().find(name);
+    EXPECT_NE(it, m.counters().end()) << name;
+    return it == m.counters().end() ? ~uint64_t{0} : it->second.value();
+  };
+  const PerformanceReport& report = out.report;
+  const uint64_t blocks = out.ledger.NumBlocks() - 1;  // past genesis
+  uint64_t proposals = 0;
+  for (const auto& [org, n] : out.endorsement_counts) proposals += n;
+  ASSERT_GT(blocks, 0u);
+  EXPECT_EQ(counter("client_manager.scheduled_total"), cfg.schedule.size());
+  EXPECT_EQ(counter("client.requests_total"), cfg.schedule.size());
+  EXPECT_EQ(counter("endorser.proposals_total"), proposals);
+  EXPECT_EQ(counter("orderer.txs_submitted_total"), report.total_committed());
+  EXPECT_EQ(counter("ledger.txs_committed_total"), report.total_committed());
+  EXPECT_EQ(counter("ledger.blocks_total"), blocks);
+  for (const char* name :
+       {"orderer.blocks_cut_total", "raft.proposals_total",
+        "raft.commits_total", "validator.blocks_validated_total",
+        "peer.Org1.blocks_applied_total", "peer.Org2.blocks_applied_total"}) {
+    EXPECT_EQ(counter(name), blocks) << name;
+  }
+  EXPECT_EQ(counter("peer.Org1.txs_applied_total"), report.total_committed());
+  EXPECT_EQ(counter("validator.valid_total"), report.successful());
+  EXPECT_EQ(counter("validator.mvcc_conflicts"), report.mvcc_failures());
+  EXPECT_EQ(counter("validator.phantom_conflicts"),
+            report.phantom_failures());
+  EXPECT_EQ(counter("validator.endorsement_failures"),
+            report.endorsement_failures());
+  EXPECT_EQ(counter("raft.elections_total"), 1u);
+  EXPECT_GT(counter("raft.messages_total"), 0u);
+  EXPECT_EQ(m.histograms().at("orderer.block_fill_ratio").count(), blocks);
+
+  // Station gauges: the extremes are the waits jobs met, the value is the
+  // backlog left when the last transaction committed.
+  const Gauge& endorsers = m.gauges().at("endorser.queue_depth");
+  EXPECT_EQ(endorsers.min(), 0.0);
+  EXPECT_GT(endorsers.max(), 0.0);
+  EXPECT_EQ(endorsers.value(), 0.0);
 
   auto parsed = JsonValue::Parse(m.SnapshotJson().Dump());
   ASSERT_TRUE(parsed.ok());
+}
+
+TEST(TracedExperimentTest, MetricFamiliesAppearOnceTheirEventHappened) {
+  // A run without transactions has only the client manager's count.
+  const ExperimentOutput empty = RunOk(CliExperiment(0));
+  ASSERT_NE(empty.telemetry, nullptr);
+  const MetricsRegistry& none = empty.telemetry->metrics();
+  EXPECT_EQ(CounterNames(none),
+            std::set<std::string>{"client_manager.scheduled_total"});
+  EXPECT_EQ(none.counters().at("client_manager.scheduled_total").value(), 0u);
+  EXPECT_TRUE(none.histograms().empty());
+
+  // One transaction: every family of a healthy run, validator outcomes
+  // included at zero; no election beyond the first, no abort, no outage.
+  const ExperimentOutput one = RunOk(CliExperiment(1));
+  ASSERT_NE(one.telemetry, nullptr);
+  const MetricsRegistry& m = one.telemetry->metrics();
+  const std::set<std::string> expected = {
+      "client.requests_total", "client_manager.scheduled_total",
+      "endorser.proposals_total", "ledger.blocks_total",
+      "ledger.txs_committed_total", "orderer.blocks_cut_total",
+      "orderer.txs_submitted_total", "peer.Org1.blocks_applied_total",
+      "peer.Org1.txs_applied_total", "peer.Org2.blocks_applied_total",
+      "peer.Org2.txs_applied_total", "raft.commits_total",
+      "raft.elections_total", "raft.messages_total", "raft.proposals_total",
+      "validator.blocks_validated_total", "validator.endorsement_failures",
+      "validator.mvcc_conflicts", "validator.phantom_conflicts",
+      "validator.valid_total"};
+  EXPECT_EQ(CounterNames(m), expected);
+  EXPECT_EQ(m.counters().at("validator.mvcc_conflicts").value(), 0u);
+  std::set<std::string> gauges;
+  for (const auto& [name, g] : m.gauges()) gauges.insert(name);
+  EXPECT_EQ(gauges, (std::set<std::string>{
+                        "client.queue_depth", "endorser.queue_depth",
+                        "orderer.queue_depth", "peer.Org1.validator_backlog_s",
+                        "peer.Org2.validator_backlog_s",
+                        "sim.events_processed", "sim.queue_peak"}));
+}
+
+TEST(TracedExperimentTest, LeaderCrashCountsTheSecondElection) {
+  ExperimentConfig cfg = CliExperiment(10000);
+  auto plan = ParseFaultPlan("leader-crash@t=0.5,dur=0.5");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  cfg.faults = *plan;
+  const ExperimentOutput out = RunOk(cfg);
+  ASSERT_NE(out.telemetry, nullptr);
+  EXPECT_EQ(
+      out.telemetry->metrics().counters().at("raft.elections_total").value(),
+      2u);
+}
+
+TEST(TracedExperimentTest, EndorserOutageCountsDropsAndEarlyAborts) {
+  // Both endorsers black-holed for 3 s: every proposal of those seconds
+  // goes to two down endorsers and the transaction early-aborts.
+  ExperimentConfig cfg = CliExperiment(3000);
+  auto plan = ParseFaultPlan(
+      "endorser-outage@t=2,dur=3,org=1;endorser-outage@t=2,dur=3,org=2");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  cfg.faults = *plan;
+  const ExperimentOutput out = RunOk(cfg);
+  ASSERT_NE(out.telemetry, nullptr);
+  const auto& counters = out.telemetry->metrics().counters();
+  EXPECT_EQ(out.report.early_aborts(), 902u);
+  EXPECT_EQ(counters.at("client.early_aborts_total").value(), 902u);
+  EXPECT_EQ(counters.at("endorser.outage_drops_total").value(), 1804u);
+  EXPECT_EQ(counters.at("client.requests_total").value(),
+            out.report.total_committed() + out.report.early_aborts());
+}
+
+TEST(TracedExperimentTest, LateConfigUpdateCountsAtTheOrderer) {
+  // The stream engine's block-size update is ordered late in the run: the
+  // orderer accepted it and cut its block, which never committed.
+  ExperimentConfig cfg = CliExperiment(600, 1000, 50);
+  cfg.stream.enabled = true;
+  cfg.stream.apply = true;
+  cfg.stream.window_s = 2;
+  const ExperimentOutput out = RunOk(cfg);
+  ASSERT_NE(out.telemetry, nullptr);
+  const auto& counters = out.telemetry->metrics().counters();
+  EXPECT_EQ(counters.at("orderer.config_txs_total").value(), 1u);
+  EXPECT_EQ(counters.at("orderer.blocks_cut_total").value(),
+            counters.at("ledger.blocks_total").value() + 1);
+  EXPECT_EQ(counters.at("ledger.blocks_total").value(),
+            out.ledger.NumBlocks() - 1);
 }
 
 TEST(TracedExperimentTest, TelemetryDoesNotPerturbTheSimulation) {

@@ -81,9 +81,9 @@ struct ExperimentConfig {
 
   /// When true, the run records observability data into
   /// `ExperimentOutput::telemetry` (per `telemetry_options`: the flight
-  /// recorder, component metrics, continuous sampler time series). Off by
-  /// default: the disabled path does no telemetry work and schedules no
-  /// telemetry events.
+  /// recorder, continuous sampler time series; plus the component metrics,
+  /// filled once at run end). Off by default: the disabled path does no
+  /// telemetry work and schedules no telemetry events.
   bool enable_telemetry = false;
 
   /// Which telemetry aspects a telemetry-enabled run records (ignored

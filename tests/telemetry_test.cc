@@ -397,6 +397,19 @@ TEST(TracedExperimentTest, MetricFamiliesAppearOnceTheirEventHappened) {
       "validator.valid_total"};
   EXPECT_EQ(CounterNames(m), expected);
   EXPECT_EQ(m.counters().at("validator.mvcc_conflicts").value(), 0u);
+
+  // A delivered block brings every validator.* counter even when none of
+  // its transactions is valid: with Org2's endorser down, the one
+  // transaction fails the endorsement policy.
+  ExperimentConfig refused = CliExperiment(1);
+  auto plan = ParseFaultPlan("endorser-outage@t=0,dur=10,org=2");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  refused.faults = *plan;
+  const ExperimentOutput failed = RunOk(refused);
+  ASSERT_NE(failed.telemetry, nullptr);
+  const auto& counters = failed.telemetry->metrics().counters();
+  EXPECT_EQ(counters.at("validator.valid_total").value(), 0u);
+  EXPECT_EQ(counters.at("validator.endorsement_failures").value(), 1u);
   std::set<std::string> gauges;
   for (const auto& [name, g] : m.gauges()) gauges.insert(name);
   EXPECT_EQ(gauges, (std::set<std::string>{

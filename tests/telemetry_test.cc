@@ -397,6 +397,13 @@ TEST(TracedExperimentTest, MetricFamiliesAppearOnceTheirEventHappened) {
       "validator.valid_total"};
   EXPECT_EQ(CounterNames(m), expected);
   EXPECT_EQ(m.counters().at("validator.mvcc_conflicts").value(), 0u);
+  std::set<std::string> gauges;
+  for (const auto& [name, g] : m.gauges()) gauges.insert(name);
+  EXPECT_EQ(gauges, (std::set<std::string>{
+                        "client.queue_depth", "endorser.queue_depth",
+                        "orderer.queue_depth", "peer.Org1.validator_backlog_s",
+                        "peer.Org2.validator_backlog_s",
+                        "sim.events_processed", "sim.queue_peak"}));
 
   // A delivered block brings every validator.* counter even when none of
   // its transactions is valid: with Org2's endorser down, the one
@@ -410,13 +417,6 @@ TEST(TracedExperimentTest, MetricFamiliesAppearOnceTheirEventHappened) {
   const auto& counters = failed.telemetry->metrics().counters();
   EXPECT_EQ(counters.at("validator.valid_total").value(), 0u);
   EXPECT_EQ(counters.at("validator.endorsement_failures").value(), 1u);
-  std::set<std::string> gauges;
-  for (const auto& [name, g] : m.gauges()) gauges.insert(name);
-  EXPECT_EQ(gauges, (std::set<std::string>{
-                        "client.queue_depth", "endorser.queue_depth",
-                        "orderer.queue_depth", "peer.Org1.validator_backlog_s",
-                        "peer.Org2.validator_backlog_s",
-                        "sim.events_processed", "sim.queue_peak"}));
 }
 
 TEST(TracedExperimentTest, LeaderCrashCountsTheSecondElection) {

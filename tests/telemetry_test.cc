@@ -417,6 +417,20 @@ TEST(TracedExperimentTest, MetricFamiliesAppearOnceTheirEventHappened) {
   const auto& counters = failed.telemetry->metrics().counters();
   EXPECT_EQ(counters.at("validator.valid_total").value(), 0u);
   EXPECT_EQ(counters.at("validator.endorsement_failures").value(), 1u);
+
+  // The client manager's counters appear once it reordered or capped.
+  ExperimentConfig managed = CliExperiment(300);
+  managed.client_manager.activities_last = {"Read"};
+  managed.client_manager.rate_cap_tps = 100;
+  const ExperimentOutput shaped = RunOk(managed);
+  ASSERT_NE(shaped.telemetry, nullptr);
+  const MetricsRegistry& cm = shaped.telemetry->metrics();
+  EXPECT_EQ(cm.counters().at("client_manager.scheduled_total").value(), 300u);
+  EXPECT_EQ(cm.counters().at("client_manager.reordered_runs_total").value(),
+            1u);
+  EXPECT_EQ(cm.counters().at("client_manager.rate_capped_runs_total").value(),
+            1u);
+  EXPECT_EQ(cm.gauges().at("client_manager.rate_cap_tps").value(), 100.0);
 }
 
 TEST(TracedExperimentTest, LeaderCrashCountsTheSecondElection) {

@@ -25,47 +25,6 @@ std::vector<std::string> BlockchainLogEntry::AccessedKeys() const {
   return keys;
 }
 
-void BlockchainLogEntry::EnsureIdViews() const {
-  KeyIdViews& c = id_views;
-  if (c.reads_seen == read_keys.size() && c.writes_seen == writes.size() &&
-      c.deletes_seen == delete_keys.size()) {
-    return;
-  }
-  Interner& interner = GlobalKeyInterner();
-  c.write_ids.clear();
-  c.write_ids.reserve(writes.size() + delete_keys.size());
-  for (const auto& [k, v] : writes) {
-    (void)v;
-    c.write_ids.push_back(interner.Intern(k));
-  }
-  for (const auto& k : delete_keys) c.write_ids.push_back(interner.Intern(k));
-  std::sort(c.write_ids.begin(), c.write_ids.end());
-  c.write_ids.erase(std::unique(c.write_ids.begin(), c.write_ids.end()),
-                    c.write_ids.end());
-  c.accessed_ids = c.write_ids;
-  c.accessed_ids.reserve(c.write_ids.size() + read_keys.size());
-  for (const auto& k : read_keys) {
-    c.accessed_ids.push_back(interner.Intern(k));
-  }
-  std::sort(c.accessed_ids.begin(), c.accessed_ids.end());
-  c.accessed_ids.erase(
-      std::unique(c.accessed_ids.begin(), c.accessed_ids.end()),
-      c.accessed_ids.end());
-  c.reads_seen = read_keys.size();
-  c.writes_seen = writes.size();
-  c.deletes_seen = delete_keys.size();
-}
-
-const std::vector<KeyId>& BlockchainLogEntry::WriteKeyIds() const {
-  EnsureIdViews();
-  return id_views.write_ids;
-}
-
-const std::vector<KeyId>& BlockchainLogEntry::AccessedKeyIds() const {
-  EnsureIdViews();
-  return id_views.accessed_ids;
-}
-
 BlockchainLogEntry BlockchainLog::EntryFromTransaction(const Block& block,
                                                        uint32_t tx_pos,
                                                        const Transaction& tx) {

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/interner.h"
 #include "ledger/ledger.h"
 #include "ledger/transaction.h"
 
@@ -59,26 +58,6 @@ struct BlockchainLogEntry {
 
   /// All accessed keys (RWS(x)).
   std::vector<std::string> AccessedKeys() const;
-
-  /// Interned-ID views of WS(x)/RWS(x): sorted by KeyId, deduped, cached
-  /// across calls (the string accessors re-sort and allocate per call —
-  /// inside ComputeMetrics' per-entry loops that dominated the pass).
-  /// Same contract as ReadWriteSet's views: rebuilt when any source
-  /// container's size changed; ID order is not lexicographic order.
-  const std::vector<KeyId>& WriteKeyIds() const;
-  const std::vector<KeyId>& AccessedKeyIds() const;
-
-  struct KeyIdViews {
-    std::vector<KeyId> write_ids;
-    std::vector<KeyId> accessed_ids;
-    size_t reads_seen = static_cast<size_t>(-1);
-    size_t writes_seen = static_cast<size_t>(-1);
-    size_t deletes_seen = static_cast<size_t>(-1);
-  };
-  mutable KeyIdViews id_views;
-
- private:
-  void EnsureIdViews() const;
 };
 
 /// The preprocessed blockchain log: BlockOptR's primary analysis input.

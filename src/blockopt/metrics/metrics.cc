@@ -2,11 +2,36 @@
 // MetricsAccumulator — lives in accumulator.cc alongside its pane-merge
 // machinery.
 #include <algorithm>
+#include <iterator>
 
 #include "blockopt/metrics/metrics.h"
 #include "common/interner.h"
 
 namespace blockoptr {
+
+namespace {
+
+void SortDedup(std::vector<KeyId>& ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
+/// The one derivation of a row's key sets, from the read ids and the
+/// value-write and delete ids its builder filled: RS(x) and WS(x) sorted
+/// by id and deduped, RWS(x) their union. Reuses the vectors' capacity.
+void DeriveKeySets(MetricsRow& r) {
+  SortDedup(r.read_ids);
+  r.write_ids.assign(r.value_write_ids.begin(), r.value_write_ids.end());
+  r.write_ids.insert(r.write_ids.end(), r.delete_ids.begin(),
+                     r.delete_ids.end());
+  SortDedup(r.write_ids);
+  r.accessed_ids.clear();
+  r.accessed_ids.reserve(r.read_ids.size() + r.write_ids.size());
+  std::set_union(r.read_ids.begin(), r.read_ids.end(), r.write_ids.begin(),
+                 r.write_ids.end(), std::back_inserter(r.accessed_ids));
+}
+
+}  // namespace
 
 MetricsRow RowFromEntry(const BlockchainLogEntry& e) {
   Interner& keys = GlobalKeyInterner();
@@ -25,9 +50,6 @@ MetricsRow RowFromEntry(const BlockchainLogEntry& e) {
   for (const auto& org : e.endorsers) r.endorsers.push_back(names.Intern(org));
   r.read_ids.reserve(e.read_keys.size());
   for (const auto& k : e.read_keys) r.read_ids.push_back(keys.Intern(k));
-  std::sort(r.read_ids.begin(), r.read_ids.end());  // already deduped
-  r.write_ids = e.WriteKeyIds();
-  r.accessed_ids = e.AccessedKeyIds();
   r.value_write_ids.reserve(e.writes.size());
   for (const auto& [k, v] : e.writes) {
     (void)v;
@@ -35,6 +57,7 @@ MetricsRow RowFromEntry(const BlockchainLogEntry& e) {
   }
   r.delete_ids.reserve(e.delete_keys.size());
   for (const auto& k : e.delete_keys) r.delete_ids.push_back(keys.Intern(k));
+  DeriveKeySets(r);
   r.range_bounds = e.range_bounds;
   r.num_value_writes = static_cast<uint32_t>(e.writes.size());
   r.has_deletes = !e.delete_keys.empty();
@@ -42,17 +65,11 @@ MetricsRow RowFromEntry(const BlockchainLogEntry& e) {
   return r;
 }
 
-MetricsRow RowFromTransaction(const Block& block, const Transaction& tx) {
-  MetricsRow row;
-  RowFromTransactionInto(block, tx, row);
-  return row;
-}
-
 void RowFromTransactionInto(const Block& block, const Transaction& tx,
                             MetricsRow& r) {
-  Interner& keys = GlobalKeyInterner();
   Interner& names = GlobalNameInterner();
   r.endorsers.clear();
+  r.read_ids.clear();
   r.value_write_ids.clear();
   r.delete_ids.clear();
   r.range_bounds.clear();
@@ -72,19 +89,22 @@ void RowFromTransactionInto(const Block& block, const Transaction& tx,
   for (const auto& org : tx.endorsers) {
     r.endorsers.push_back(names.Intern(org));
   }
-  r.read_ids = tx.rwset.ReadKeyIds();
-  r.write_ids = tx.rwset.WriteKeyIds();
-  r.accessed_ids = tx.rwset.AccessedKeyIds();
+  r.read_ids.reserve(tx.rwset.reads.size());
+  for (const auto& read : tx.rwset.reads) r.read_ids.push_back(read.id());
+  for (const auto& rq : tx.rwset.range_queries) {
+    r.range_bounds.emplace_back(rq.start_key, rq.end_key);
+    for (const auto& result : rq.results) r.read_ids.push_back(result.id());
+  }
   for (const auto& w : tx.rwset.writes) {
-    if (w.cached_id == kInvalidKeyId) w.cached_id = keys.Intern(w.key);
     if (w.is_delete) {
-      r.delete_ids.push_back(w.cached_id);
+      r.delete_ids.push_back(w.id());
       r.has_deletes = true;
     } else {
-      r.value_write_ids.push_back(w.cached_id);
+      r.value_write_ids.push_back(w.id());
       ++r.num_value_writes;
     }
   }
+  DeriveKeySets(r);
   if (r.num_value_writes == 1) {
     for (const auto& w : tx.rwset.writes) {
       if (!w.is_delete) {
@@ -92,9 +112,6 @@ void RowFromTransactionInto(const Block& block, const Transaction& tx,
         break;
       }
     }
-  }
-  for (const auto& rq : tx.rwset.range_queries) {
-    r.range_bounds.emplace_back(rq.start_key, rq.end_key);
   }
 }
 

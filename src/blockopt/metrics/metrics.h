@@ -170,18 +170,16 @@ struct MetricsRow {
   }
 };
 
-/// Converts a batch log row into the id-interned form.
+/// Converts a batch log row into the id-interned form, interning each
+/// key once.
 MetricsRow RowFromEntry(const BlockchainLogEntry& entry);
 
-/// Builds a row straight from a committed transaction, reusing the
-/// rwset's cached KeyId views — no string materialization. The caller
-/// stamps `commit_order` (the streaming engine numbers non-config rows
-/// densely, the same numbering the batch log cleaner assigns).
-MetricsRow RowFromTransaction(const Block& block, const Transaction& tx);
-
-/// In-place variant: clears and refills `row`, keeping its vectors'
-/// capacity. Feeding a recycled row makes steady-state streaming
-/// derivation allocation-free.
+/// Builds a row straight from a committed transaction — no string
+/// materialization — clearing and refilling `row` in place so a recycled
+/// row keeps its vectors' capacity and steady-state streaming derivation
+/// stays allocation-free. The caller stamps `commit_order` (the streaming
+/// engine numbers non-config rows densely, the same numbering the batch
+/// log cleaner assigns).
 void RowFromTransactionInto(const Block& block, const Transaction& tx,
                             MetricsRow& row);
 

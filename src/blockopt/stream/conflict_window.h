@@ -35,10 +35,10 @@ class WindowedConflictGraph {
  public:
   explicit WindowedConflictGraph(size_t max_nodes);
 
-  /// Adds one transaction with its sorted-unique RS/WS id views (the
-  /// cached `ReadKeyIds()`/`WriteKeyIds()` of a ReadWriteSet or log
-  /// entry). Returns the node's stable sequence number. Evicts the oldest
-  /// node first when the window is full.
+  /// Adds one transaction with its sorted-unique RS/WS id sets (a
+  /// MetricsRow's `read_ids`/`write_ids`). Returns the node's stable
+  /// sequence number. Evicts the oldest node first when the window is
+  /// full.
   uint64_t AddNode(const std::vector<KeyId>& read_ids,
                    const std::vector<KeyId>& write_ids);
 

@@ -92,12 +92,12 @@ void StreamEngine::OnBlockCommit(const Block& block) {
   uint32_t non_config = 0;
   for (const Transaction& tx : block.transactions) {
     if (tx.is_config || tx.status == TxStatus::kConfig) continue;
-    // Id-interned row built in place in the open pane's row storage
-    // (reusing the rwset's cached KeyId views) — the commit hot path
-    // materializes no strings, and pane recycling reuses the row's
-    // vector capacities so the steady-state feed is allocation-free as
-    // well. The pane keeps its rows so a window boundary falling inside
-    // it can be honored exactly at evaluation time.
+    // Id-interned row built in place in the open pane's row storage —
+    // the commit hot path materializes no strings, and pane recycling
+    // reuses the row's vector capacities so the steady-state feed is
+    // allocation-free as well. The pane keeps its rows so a window
+    // boundary falling inside it can be honored exactly at evaluation
+    // time.
     MetricsRow& row = open_.row_store.size() > open_.rows
                           ? open_.row_store[open_.rows]
                           : open_.row_store.emplace_back();
@@ -122,9 +122,7 @@ void StreamEngine::OnBlockCommit(const Block& block) {
     if (row.failed()) {
       for (KeyId id : row.accessed_ids) topk_.Offer(id);
     }
-    // Conflict-graph nodes use the transaction's rwset views (RS needs
-    // read-only keys, which the log row folds into RWS).
-    graph_.AddNode(tx.rwset.ReadKeyIds(), tx.rwset.WriteKeyIds());
+    graph_.AddNode(row.read_ids, row.write_ids);
   }
 
   const double t = block.commit_timestamp;

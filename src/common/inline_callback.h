@@ -15,14 +15,14 @@ namespace blockoptr {
 /// threshold, and almost every closure in the pipeline (captured
 /// transactions, read-write sets, shared block payloads) is above it.
 ///
-/// The capacity is sized for the largest scheduler closure in the
-/// codebase: the client-assembly continuation in fabric/network.cc, which
-/// captures a whole `Transaction` by value (~400 bytes with the cached
-/// key-id views). If a closure outgrows the buffer the static_assert in
-/// the constructor names this constant — either shrink the closure (park
-/// bulky state in a pool and capture an index, like ServiceStation does)
-/// or, if the capture is genuinely irreducible, grow the constant.
-inline constexpr std::size_t kInlineCallbackCapacity = 512;
+/// The capacity is the smallest multiple of 64 that holds the largest
+/// scheduler closure in the codebase: the client-assembly continuation in
+/// fabric/network.cc, which captures a whole `Transaction` (288 bytes)
+/// by value. If a closure outgrows the buffer the static_assert in the
+/// constructor names this constant — either shrink the closure (park
+/// bulky state in a pool and capture an index) or, if the capture is
+/// genuinely irreducible, grow the constant.
+inline constexpr std::size_t kInlineCallbackCapacity = 320;
 
 class InlineCallback {
  public:

@@ -4,8 +4,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/interner.h"
-
 namespace blockoptr {
 
 namespace {
@@ -14,10 +12,7 @@ bool ReadItemCurrent(const ReadItem& r, const VersionedStore& state) {
   // Intern once per item; every later check (re-validation, other peers'
   // stores) skips the string hash. Interning a key the store doesn't hold
   // is fine — ids are process-global, not per-store.
-  if (r.cached_id == kInvalidKeyId) {
-    r.cached_id = GlobalKeyInterner().Intern(r.key);
-  }
-  const VersionedValue* vv = state.PeekById(r.cached_id);
+  const VersionedValue* vv = state.PeekById(r.id());
   if (vv == nullptr) return !r.version.has_value();
   return r.version.has_value() && *r.version == vv->version;
 }
@@ -60,10 +55,7 @@ bool RangeReadsCurrent(const ReadWriteSet& rwset, const VersionedStore& state) {
 void ApplyWrites(const ReadWriteSet& rwset, VersionedStore& state,
                  Version version) {
   for (const auto& w : rwset.writes) {
-    if (w.cached_id == kInvalidKeyId) {
-      w.cached_id = GlobalKeyInterner().Intern(w.key);
-    }
-    state.ApplyById(w.cached_id, w.key, w.value, w.is_delete, version);
+    state.ApplyById(w.id(), w.key, w.value, w.is_delete, version);
   }
 }
 

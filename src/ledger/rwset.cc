@@ -1,7 +1,6 @@
 #include "ledger/rwset.h"
 
 #include <algorithm>
-#include <iterator>
 
 namespace blockoptr {
 
@@ -36,61 +35,6 @@ std::vector<std::string> ReadWriteSet::WriteKeys() const {
   for (const auto& w : writes) keys.push_back(w.key);
   SortDedup(keys);
   return keys;
-}
-
-namespace {
-void SortDedupIds(std::vector<KeyId>& v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-}  // namespace
-
-void ReadWriteSet::EnsureIdViews() const {
-  size_t range_results = 0;
-  for (const auto& rq : range_queries) range_results += rq.results.size();
-  KeyIdViews& c = id_views;
-  if (c.reads_seen == reads.size() && c.writes_seen == writes.size() &&
-      c.ranges_seen == range_queries.size() &&
-      c.range_results_seen == range_results) {
-    return;
-  }
-  Interner& interner = GlobalKeyInterner();
-  c.read_ids.clear();
-  c.read_ids.reserve(reads.size() + range_results);
-  for (const auto& r : reads) c.read_ids.push_back(interner.Intern(r.key));
-  for (const auto& rq : range_queries) {
-    for (const auto& r : rq.results) {
-      c.read_ids.push_back(interner.Intern(r.key));
-    }
-  }
-  SortDedupIds(c.read_ids);
-  c.write_ids.clear();
-  c.write_ids.reserve(writes.size());
-  for (const auto& w : writes) c.write_ids.push_back(interner.Intern(w.key));
-  SortDedupIds(c.write_ids);
-  c.accessed_ids.clear();
-  c.accessed_ids.reserve(c.read_ids.size() + c.write_ids.size());
-  std::set_union(c.read_ids.begin(), c.read_ids.end(), c.write_ids.begin(),
-                 c.write_ids.end(), std::back_inserter(c.accessed_ids));
-  c.reads_seen = reads.size();
-  c.writes_seen = writes.size();
-  c.ranges_seen = range_queries.size();
-  c.range_results_seen = range_results;
-}
-
-const std::vector<KeyId>& ReadWriteSet::ReadKeyIds() const {
-  EnsureIdViews();
-  return id_views.read_ids;
-}
-
-const std::vector<KeyId>& ReadWriteSet::WriteKeyIds() const {
-  EnsureIdViews();
-  return id_views.write_ids;
-}
-
-const std::vector<KeyId>& ReadWriteSet::AccessedKeyIds() const {
-  EnsureIdViews();
-  return id_views.accessed_ids;
 }
 
 bool ReadWriteSet::HasWriteTo(const std::string& key) const {

@@ -1,7 +1,6 @@
 #ifndef BLOCKOPTR_LEDGER_RWSET_H_
 #define BLOCKOPTR_LEDGER_RWSET_H_
 
-#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -18,8 +17,18 @@ struct ReadItem {
   std::optional<Version> version;
   /// Lazily cached interned id of `key` (ids are process-stable, so a
   /// cached value never goes stale; copies may carry it). Filled by the
-  /// validator's first lookup; excluded from equality.
+  /// first id() call; excluded from equality. Not filled at creation, so
+  /// range results that no id-reading pass visits are never interned.
   mutable KeyId cached_id = kInvalidKeyId;
+
+  /// Interned id of `key`, interning on first use. Not thread-safe: call
+  /// from the thread that owns the item.
+  KeyId id() const {
+    if (cached_id == kInvalidKeyId) {
+      cached_id = GlobalKeyInterner().Intern(key);
+    }
+    return cached_id;
+  }
 
   friend bool operator==(const ReadItem& a, const ReadItem& b) {
     return a.key == b.key && a.version == b.version;
@@ -31,8 +40,15 @@ struct WriteItem {
   std::string key;
   std::string value;
   bool is_delete = false;
-  /// Same contract as ReadItem::cached_id.
+  /// Same contract as ReadItem::cached_id and ReadItem::id().
   mutable KeyId cached_id = kInvalidKeyId;
+
+  KeyId id() const {
+    if (cached_id == kInvalidKeyId) {
+      cached_id = GlobalKeyInterner().Intern(key);
+    }
+    return cached_id;
+  }
 
   friend bool operator==(const WriteItem& a, const WriteItem& b) {
     return a.key == b.key && a.value == b.value && a.is_delete == b.is_delete;
@@ -53,35 +69,17 @@ struct RangeQueryInfo {
 
 /// The read-write set produced by endorsing (simulating) a transaction.
 /// This is the object Fabric's validators check and the primary artefact
-/// BlockOptR's analysis consumes (paper §4.1 attribute 6).
+/// BlockOptR's analysis consumes (paper §4.1 attribute 6). The analysis
+/// reads RS(x)/WS(x)/RWS(x) as sorted KeyId sets, derived once per
+/// transaction in its MetricsRow (blockopt/metrics); the string accessors
+/// below re-sort and allocate on every call.
 struct ReadWriteSet {
   std::vector<ReadItem> reads;
   std::vector<WriteItem> writes;
   std::vector<RangeQueryInfo> range_queries;
 
-  /// Lazily built, cached sorted-unique KeyId views over the same key
-  /// sets as ReadKeys()/WriteKeys()/AccessedKeys(). Invalidated by size:
-  /// the cache is rebuilt whenever the number of reads, writes, range
-  /// queries, or range results has changed since it was built (every
-  /// mutation path in the codebase appends items; replacing a key
-  /// in place without changing any count is not supported). Not
-  /// thread-safe: views must be built and read from the owning thread.
-  struct KeyIdViews {
-    std::vector<KeyId> read_ids;
-    std::vector<KeyId> write_ids;
-    std::vector<KeyId> accessed_ids;
-    size_t reads_seen = static_cast<size_t>(-1);
-    size_t writes_seen = static_cast<size_t>(-1);
-    size_t ranges_seen = static_cast<size_t>(-1);
-    size_t range_results_seen = static_cast<size_t>(-1);
-  };
-  mutable KeyIdViews id_views;
-
-  // Equality is over the recorded data only, never the derived ID cache.
-  friend bool operator==(const ReadWriteSet& a, const ReadWriteSet& b) {
-    return a.reads == b.reads && a.writes == b.writes &&
-           a.range_queries == b.range_queries;
-  }
+  // Items compare their recorded data only, never their cached ids.
+  friend bool operator==(const ReadWriteSet&, const ReadWriteSet&) = default;
 
   /// All keys accessed (reads, writes, and range-query results), deduped,
   /// sorted. This is RWS(x) in the paper's formalization.
@@ -93,20 +91,8 @@ struct ReadWriteSet {
   /// Keys in the write set: WS(x).
   std::vector<std::string> WriteKeys() const;
 
-  /// Interned-ID views of RS(x)/WS(x)/RWS(x): sorted by KeyId, deduped,
-  /// cached across calls (the string accessors above re-sort on every
-  /// call and allocate a fresh vector; the hot loops use these instead).
-  /// ID sort order is NOT lexicographic key order — use the views for
-  /// membership, merge, and intersection only.
-  const std::vector<KeyId>& ReadKeyIds() const;
-  const std::vector<KeyId>& WriteKeyIds() const;
-  const std::vector<KeyId>& AccessedKeyIds() const;
-
   bool HasWriteTo(const std::string& key) const;
   bool HasReadOf(const std::string& key) const;
-
- private:
-  void EnsureIdViews() const;
 };
 
 }  // namespace blockoptr

@@ -13,30 +13,35 @@ ConflictGraph::ConflictGraph(const std::vector<const ReadWriteSet*>& rwsets) {
   removed_.assign(n, false);
 
   // Readers and writers as two flat sorted (key, tx) arrays over the
-  // cached interned-ID views, intersected with one sequential co-walk:
-  // no string-keyed map, no per-key vectors, no per-writer binary
-  // searches. A first co-walk pass counts each writer's matches so every
-  // adjacency list is allocated exactly once. The adjacency result is
-  // identical to the old string-keyed index — it only depends on which
-  // key *sets* intersect, and each adjacency list is canonicalized by
-  // the final sort + unique.
-  size_t total_reads = 0;
-  size_t total_writes = 0;
-  for (size_t j = 0; j < n; ++j) {
-    total_reads += rwsets[j]->ReadKeyIds().size();
-    total_writes += rwsets[j]->WriteKeyIds().size();
-  }
+  // items' interned ids, intersected with one sequential co-walk: no
+  // string-keyed map, no per-key vectors, no per-writer binary searches.
+  // A key a transaction touches twice (a point read that is also a range
+  // result, two writes) yields duplicate pairs; the final per-list sort +
+  // unique drops the duplicate edges, so each adjacency list depends only
+  // on which key *sets* intersect. The arrays are reserved exactly, and a
+  // first co-walk pass counts each writer's matches so every adjacency
+  // list is allocated exactly once.
   std::vector<std::pair<KeyId, int>> readers;
   std::vector<std::pair<KeyId, int>> writers;
+  size_t total_reads = 0;
+  size_t total_writes = 0;
+  for (const ReadWriteSet* rw : rwsets) {
+    total_reads += rw->reads.size();
+    for (const RangeQueryInfo& rq : rw->range_queries) {
+      total_reads += rq.results.size();
+    }
+    total_writes += rw->writes.size();
+  }
   readers.reserve(total_reads);
   writers.reserve(total_writes);
   for (size_t j = 0; j < n; ++j) {
-    for (KeyId key : rwsets[j]->ReadKeyIds()) {
-      readers.emplace_back(key, static_cast<int>(j));
+    const ReadWriteSet& rw = *rwsets[j];
+    const int tx = static_cast<int>(j);
+    for (const ReadItem& r : rw.reads) readers.emplace_back(r.id(), tx);
+    for (const RangeQueryInfo& rq : rw.range_queries) {
+      for (const ReadItem& r : rq.results) readers.emplace_back(r.id(), tx);
     }
-    for (KeyId key : rwsets[j]->WriteKeyIds()) {
-      writers.emplace_back(key, static_cast<int>(j));
-    }
+    for (const WriteItem& w : rw.writes) writers.emplace_back(w.id(), tx);
   }
   std::sort(readers.begin(), readers.end());
   std::sort(writers.begin(), writers.end());

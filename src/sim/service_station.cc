@@ -25,7 +25,8 @@ double ServiceStation::CurrentDelay() const {
   return std::max(0.0, EarliestFree() - sim_->Now());
 }
 
-void ServiceStation::Submit(double service_time, Simulator::Callback done) {
+void ServiceStation::Submit(double service_time,
+                            Simulator::Callback&& done) {
   assert(service_time >= 0);
   auto it = std::min_element(server_free_at_.begin(), server_free_at_.end());
   SimTime start = std::max(sim_->Now(), *it);
@@ -33,25 +34,7 @@ void ServiceStation::Submit(double service_time, Simulator::Callback done) {
   *it = finish;
   wait_stats_.Add(start - sim_->Now());
   busy_time_ += service_time;
-  // Park the completion callback and schedule a thin event; both pools
-  // recycle, so a warm station submits with zero allocations.
-  uint32_t job;
-  if (!free_jobs_.empty()) {
-    job = free_jobs_.back();
-    free_jobs_.pop_back();
-  } else {
-    job = static_cast<uint32_t>(jobs_.emplace_back());
-  }
-  jobs_[job] = std::move(done);
-  sim_->ScheduleAt(finish, [this, job]() {
-    ++jobs_completed_;
-    // In-place invocation, mirroring Simulator::Step: the deque reference
-    // survives pool growth, and the slot is recycled only afterwards.
-    Simulator::Callback& cb = jobs_[job];
-    cb();
-    cb.Reset();
-    free_jobs_.push_back(job);
-  });
+  sim_->ScheduleAt(finish, std::move(done));
 }
 
 }  // namespace blockoptr

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/chunk_pool.h"
 #include "common/stats.h"
 #include "sim/simulator.h"
 
@@ -31,14 +30,10 @@ class ServiceStation {
   /// Enqueues a job taking `service_time` seconds. `done` fires when the
   /// job completes. Jobs are served in submission order (FIFO).
   ///
-  /// `done` is an InlineCallback like every simulator event; it is parked
-  /// in a per-station free-list pool and the scheduled completion event
-  /// captures only {station, slot index}. This keeps large completion
-  /// closures (endorsement results, assembled transactions) out of the
-  /// event they ride on — and out of InlineCallback's capacity math,
-  /// which could otherwise never close (an event wrapping a callback of
-  /// the same capacity needs strictly more than that capacity).
-  void Submit(double service_time, Simulator::Callback done);
+  /// `done` is scheduled as the completion event itself, at the job's
+  /// finish time: it is relocated once, into the simulator's slot pool,
+  /// and fires from there in place.
+  void Submit(double service_time, Simulator::Callback&& done);
 
   const std::string& name() const { return name_; }
   int servers() const { return static_cast<int>(server_free_at_.size()); }
@@ -46,8 +41,6 @@ class ServiceStation {
   /// Changes the number of servers. Only affects jobs submitted afterwards.
   /// Used to model client-resource scaling (paper §6.1.2).
   void set_servers(int servers);
-
-  uint64_t jobs_completed() const { return jobs_completed_; }
 
   /// Waiting time (queue delay before service) statistics.
   const RunningStats& wait_stats() const { return wait_stats_; }
@@ -66,13 +59,6 @@ class ServiceStation {
   Simulator* sim_;
   std::string name_;
   std::vector<SimTime> server_free_at_;
-  /// Parked completion callbacks; vacant indices in `free_jobs_`. Chunked
-  /// for the same reason as the simulator's slot pool: completions are
-  /// invoked in place, and a completion that submits again may grow the
-  /// pool mid-invocation (chunk growth never relocates parked jobs).
-  ChunkPool<Simulator::Callback> jobs_;
-  std::vector<uint32_t> free_jobs_;
-  uint64_t jobs_completed_ = 0;
   RunningStats wait_stats_;
   double busy_time_ = 0;
 };

@@ -16,6 +16,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Bound on epoch grid indices (below 2^63, so a covering index converts
+/// to uint64_t exactly). EpochBoundary fast-forwards only to an index
+/// below it; past it the runner would step one epoch at a time, so
+/// RunShards rejects an epoch whose max_time guard lies past it.
+constexpr double kMaxEpochIndex = 9e18;
+
 /// Shared lockstep state. Workers only touch it between barrier phases
 /// (the barrier provides the happens-before edges), so no atomics are
 /// needed beyond the barrier itself.
@@ -67,7 +73,7 @@ void EpochBoundary(const std::vector<Shard*>& shards,
   }
   uint64_t next_index = state.epoch_index + 1;
   const double ratio = next / options.epoch_s;
-  if (next < kInf && ratio < 9e18) {
+  if (next < kInf && ratio < kMaxEpochIndex) {
     // Fast-forward: the smallest grid index whose window covers the
     // earliest pending event (epoch k processes events <= k*epoch_s).
     // Integer epoch indices keep the grid drift-free, so a jump lands on
@@ -108,6 +114,10 @@ Status RunShards(const std::vector<Shard*>& shards,
   if (shards.empty()) return Status::OK();
   if (options.epoch_s <= 0) {
     return Status::InvalidArgument("shard epoch must be > 0");
+  }
+  if (!(options.max_time / options.epoch_s < kMaxEpochIndex)) {
+    return Status::InvalidArgument(
+        "shard epoch too short: max_sim_time / epoch must be below 9e18");
   }
   LockstepState state;
   state.status.assign(shards.size(), Status::OK());

@@ -54,7 +54,8 @@ struct ShardRunnerOptions {
 
   /// Epoch (lockstep window) length in virtual seconds. Cross-shard
   /// coupling decisions take effect at epoch boundaries, so this is the
-  /// model's coupling latency; it must be > 0.
+  /// model's coupling latency; it must be > 0, and `max_time / epoch_s`
+  /// must be below 9e18 (36,000 s allows epochs down to 4e-15 s).
   double epoch_s = 0.05;
 
   /// Abort guard: the run fails once the epoch clock passes this.
@@ -65,8 +66,9 @@ struct ShardRunnerOptions {
 /// done(). After each epoch, `sync(epoch_end)` runs serially (pass nullptr
 /// for uncoupled shards). Shards are statically assigned to workers
 /// (shard i -> worker i % threads) so no scheduling decision can leak into
-/// results. Returns the lowest-indexed shard error, or an Internal error
-/// when `max_time` is exceeded.
+/// results. Returns InvalidArgument for an epoch outside the bounds above,
+/// the lowest-indexed shard error, or an Internal error when `max_time` is
+/// exceeded.
 Status RunShards(const std::vector<Shard*>& shards,
                  const ShardRunnerOptions& options,
                  const std::function<void(SimTime epoch_end)>& sync);

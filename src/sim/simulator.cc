@@ -27,13 +27,13 @@ void Simulator::Push(SimTime at, uint64_t seq, uint32_t slot) {
   if (queue_.size() > queue_peak_) queue_peak_ = queue_.size();
 }
 
-void Simulator::ScheduleAt(SimTime at, Callback cb) {
+void Simulator::ScheduleAt(SimTime at, Callback&& cb) {
   uint32_t slot = AcquireVacantSlot();
   slots_[slot].cb = std::move(cb);
   Commit(at, slot);
 }
 
-void Simulator::ScheduleAfter(SimTime delay, Callback cb) {
+void Simulator::ScheduleAfter(SimTime delay, Callback&& cb) {
   assert(delay >= 0);
   ScheduleAt(now_ + delay, std::move(cb));
 }

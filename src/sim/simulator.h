@@ -59,8 +59,9 @@ class Simulator {
     Commit(at, slot);
   }
 
-  /// Overload for a pre-built Callback (e.g. one recycled from a pool).
-  void ScheduleAt(SimTime at, Callback cb);
+  /// Overload for a pre-built Callback (e.g. a ServiceStation job's
+  /// completion): moved into its slot, the one relocation it makes.
+  void ScheduleAt(SimTime at, Callback&& cb);
 
   /// Schedules after `delay` seconds of virtual time (delay >= 0).
   template <typename F,
@@ -70,7 +71,7 @@ class Simulator {
     ScheduleAt(now_ + delay, std::forward<F>(f));
   }
 
-  void ScheduleAfter(SimTime delay, Callback cb);
+  void ScheduleAfter(SimTime delay, Callback&& cb);
 
   /// Reserves `n` consecutive insertion sequence numbers and returns the
   /// first; events scheduled afterwards number after them. An event
@@ -177,7 +178,7 @@ class Simulator {
   /// Chunked, not a vector: Step() invokes callbacks in place, and a
   /// callback that schedules may grow the pool mid-invocation — chunk
   /// growth never relocates existing slots (and, unlike a deque of
-  /// 500-byte elements, costs one allocation per 1024 slots, not one
+  /// 352-byte elements, costs one allocation per 1024 slots, not one
   /// scattered node per slot).
   ChunkPool<Slot> slots_;
   uint32_t free_head_ = kNoSlot;

@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "blockopt/log/blockchain_log.h"
-#include "common/interner.h"
 #include "blockopt/log/export.h"
 #include "blockopt/log/preprocess.h"
 #include "common/csv.h"
@@ -185,28 +183,6 @@ TEST(LogExportTest, ParseNamesTheEntryAndFieldThatIsMissingOrMistyped) {
   second["tx_id"] = JsonValue(7);
   second["writes"].as_array()[0].as_object()["value"] = JsonValue(1);
   expect_error(json, "log entry 1", "writes");
-}
-
-TEST(LogEntryTest, KeyIdViewsMirrorStringAccessors) {
-  BlockchainLogEntry e;
-  e.read_keys = {"logidv~r", "logidv~shared"};
-  e.writes = {{"logidv~w", "1"}, {"logidv~shared", "2"}};
-  e.delete_keys = {"logidv~d"};
-  const Interner& interner = GlobalKeyInterner();
-  auto to_keys = [&](const std::vector<KeyId>& ids) {
-    std::vector<std::string> keys;
-    for (KeyId id : ids) keys.emplace_back(interner.KeyForId(id));
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  };
-  EXPECT_EQ(to_keys(e.WriteKeyIds()), e.WriteKeys());
-  EXPECT_EQ(to_keys(e.AccessedKeyIds()), e.AccessedKeys());
-  // Appending after the cache was built must invalidate it.
-  e.writes.emplace_back("logidv~w2", "3");
-  e.read_keys.push_back("logidv~r2");
-  e.delete_keys.push_back("logidv~d2");
-  EXPECT_EQ(to_keys(e.WriteKeyIds()), e.WriteKeys());
-  EXPECT_EQ(to_keys(e.AccessedKeyIds()), e.AccessedKeys());
 }
 
 TEST(LogEntryTest, FailedHelper) {

@@ -386,7 +386,8 @@ TEST(GoldenTest, CliShardedRunMatchesGoldenFile) {
 
 // Malformed flags come back as a Status: exit 1 with an "error:" line on
 // stderr, never an abort (a negative --txs used to throw length_error, a
-// negative ring capacity bad_alloc).
+// negative ring capacity bad_alloc) or a hang (a --sim-epoch too short to
+// fast-forward used to step one epoch at a time).
 class CliErrorTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CliErrorTest, MalformedFlagExitsOneWithAnError) {
@@ -422,7 +423,9 @@ INSTANTIATE_TEST_SUITE_P(
                       "run --txs=50 --stream-window=0",
                       "run --txs=50 --stream-window=-1",
                       "run --txs=50 --txtrace-window=0",
-                      "run --txs=0 --channels=2 --txtrace-ring=0"));
+                      "run --txs=0 --channels=2 --txtrace-ring=0",
+                      "run --txs=50 --channels=2 --sim-epoch=1e-300",
+                      "run --txs=50 --channels=2 --sim-epoch=1e-20"));
 
 TEST(GoldenTest, CliSweepMatchesGoldenFile) {
   CompareAgainstGolden(

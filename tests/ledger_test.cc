@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/interner.h"
-#include "common/rng.h"
 #include "ledger/block.h"
 #include "ledger/ledger.h"
 #include "ledger/rwset.h"
@@ -187,109 +185,26 @@ TEST(LedgerTest, EmptyLedger) {
 }
 
 // ---------------------------------------------------------------------------
-// Interned-ID views
+// Cached key ids
 // ---------------------------------------------------------------------------
 
-std::vector<std::string> IdsToKeys(const std::vector<KeyId>& ids) {
-  const Interner& interner = GlobalKeyInterner();
-  std::vector<std::string> keys;
-  keys.reserve(ids.size());
-  for (KeyId id : ids) keys.emplace_back(interner.KeyForId(id));
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-TEST(RwsetIdViewTest, ViewsMirrorStringAccessors) {
-  ReadWriteSet rw = MakeRwset({"idv~b", "idv~a"}, {"idv~a", "idv~c"});
-  EXPECT_EQ(IdsToKeys(rw.ReadKeyIds()), rw.ReadKeys());
-  EXPECT_EQ(IdsToKeys(rw.WriteKeyIds()), rw.WriteKeys());
-  EXPECT_EQ(IdsToKeys(rw.AccessedKeyIds()), rw.AccessedKeys());
-}
-
-TEST(RwsetIdViewTest, CacheInvalidatesOnAppend) {
-  ReadWriteSet rw = MakeRwset({"idv~r1"}, {"idv~w1"});
-  EXPECT_EQ(rw.ReadKeyIds().size(), 1u);  // build the cache
-  rw.reads.push_back(ReadItem{"idv~r2", Version{1, 0}});
-  rw.writes.push_back(WriteItem{"idv~w2", "v", false});
-  RangeQueryInfo rq;
-  rq.results.push_back(ReadItem{"idv~r3", Version{1, 1}});
-  rw.range_queries.push_back(rq);
-  EXPECT_EQ(IdsToKeys(rw.ReadKeyIds()),
-            (std::vector<std::string>{"idv~r1", "idv~r2", "idv~r3"}));
-  EXPECT_EQ(IdsToKeys(rw.WriteKeyIds()),
-            (std::vector<std::string>{"idv~w1", "idv~w2"}));
-  EXPECT_EQ(IdsToKeys(rw.AccessedKeyIds()), rw.AccessedKeys());
-  // Appending a result to an *existing* range query must also invalidate.
-  rw.range_queries.back().results.push_back(ReadItem{"idv~r4", Version{1, 2}});
-  EXPECT_EQ(IdsToKeys(rw.ReadKeyIds()), rw.ReadKeys());
-}
-
-TEST(RwsetIdViewTest, CopyCarriesIndependentCache) {
+TEST(RwsetTest, EqualityIgnoresCachedIds) {
   ReadWriteSet rw = MakeRwset({"idv~p"}, {"idv~q"});
-  EXPECT_EQ(rw.AccessedKeyIds().size(), 2u);
+  const Interner& interner = GlobalKeyInterner();
+  EXPECT_EQ(interner.KeyForId(rw.reads[0].id()), "idv~p");
+  EXPECT_EQ(interner.KeyForId(rw.writes[0].id()), "idv~q");
+  EXPECT_EQ(rw.reads[0].cached_id, rw.reads[0].id());
+  // A copy carries the filled ids and is independent of the original.
   ReadWriteSet copy = rw;
+  EXPECT_EQ(copy.writes[0].cached_id, rw.writes[0].cached_id);
   copy.writes.push_back(WriteItem{"idv~s", "v", false});
-  EXPECT_EQ(IdsToKeys(copy.WriteKeyIds()),
-            (std::vector<std::string>{"idv~q", "idv~s"}));
-  EXPECT_EQ(IdsToKeys(rw.WriteKeyIds()), (std::vector<std::string>{"idv~q"}));
-  // operator== compares the recorded data, never the derived cache: a
-  // fresh copy (empty cache) still equals the original (warm cache).
-  ReadWriteSet same = rw;
-  EXPECT_TRUE(same == rw);
+  EXPECT_EQ(rw.writes.size(), 1u);
   EXPECT_FALSE(copy == rw);
-}
-
-// Property: on random RW-sets, the interned-ID views map back to exactly
-// the key sets the legacy string accessors report, across reads, writes,
-// and range-query results, including after incremental mutation.
-TEST(RwsetIdViewProperty, ViewsMirrorStringViewsOnRandomSets) {
-  Rng rng(4096);
-  for (int round = 0; round < 50; ++round) {
-    ReadWriteSet rw;
-    const uint64_t key_space = 30;
-    auto random_key = [&] {
-      return "idvprop~k" + std::to_string(rng.NextBelow(key_space));
-    };
-    const int mutations = static_cast<int>(rng.NextBelow(40)) + 1;
-    for (int m = 0; m < mutations; ++m) {
-      switch (rng.NextBelow(4)) {
-        case 0:
-          rw.reads.push_back(ReadItem{random_key(), Version{1, 0}});
-          break;
-        case 1:
-          rw.writes.push_back(
-              WriteItem{random_key(), "v", rng.NextBool(0.2)});
-          break;
-        case 2: {
-          RangeQueryInfo rq;
-          const uint64_t results = rng.NextBelow(4);
-          for (uint64_t r = 0; r < results; ++r) {
-            rq.results.push_back(ReadItem{random_key(), Version{1, 0}});
-          }
-          rw.range_queries.push_back(std::move(rq));
-          break;
-        }
-        default:
-          if (!rw.range_queries.empty()) {
-            rw.range_queries.back().results.push_back(
-                ReadItem{random_key(), Version{1, 1}});
-          } else {
-            rw.reads.push_back(ReadItem{random_key(), Version{1, 0}});
-          }
-          break;
-      }
-      // Interleave cache builds with mutation so stale views would be
-      // caught, not just the final state.
-      if (rng.NextBool(0.3)) {
-        ASSERT_EQ(IdsToKeys(rw.ReadKeyIds()), rw.ReadKeys());
-      }
-    }
-    ASSERT_EQ(IdsToKeys(rw.ReadKeyIds()), rw.ReadKeys()) << "round " << round;
-    ASSERT_EQ(IdsToKeys(rw.WriteKeyIds()), rw.WriteKeys())
-        << "round " << round;
-    ASSERT_EQ(IdsToKeys(rw.AccessedKeyIds()), rw.AccessedKeys())
-        << "round " << round;
-  }
+  // operator== compares the recorded data, never the cached ids: a fresh
+  // set (no ids filled) equals the original (ids filled).
+  ReadWriteSet fresh = MakeRwset({"idv~p"}, {"idv~q"});
+  EXPECT_EQ(fresh.reads[0].cached_id, kInvalidKeyId);
+  EXPECT_TRUE(fresh == rw);
 }
 
 TEST(LedgerTest, FailedTransactionsAreStillAppended) {

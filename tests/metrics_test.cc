@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "blockopt/metrics/metrics.h"
+#include "common/interner.h"
 
 namespace blockoptr {
 namespace {
@@ -694,6 +697,108 @@ TEST(MetricsMergeTest, RandomPanePartitionsEqualSinglePass) {
       }
       ExpectMetricsEqual(folded.Snapshot(), expected);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Key sets: a row's RS(x), WS(x) and RWS(x) as KeyId sets
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> IdsToKeys(const std::vector<KeyId>& ids) {
+  const Interner& interner = GlobalKeyInterner();
+  std::vector<std::string> keys;
+  for (KeyId id : ids) keys.emplace_back(interner.KeyForId(id));
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+/// Each id set is sorted by id without duplicates and names exactly the
+/// key set the string accessors report.
+void ExpectKeySets(const MetricsRow& row,
+                   const std::vector<std::string>& reads,
+                   const std::vector<std::string>& writes,
+                   const std::vector<std::string>& accessed) {
+  for (const auto* ids : {&row.read_ids, &row.write_ids, &row.accessed_ids}) {
+    EXPECT_EQ(std::adjacent_find(ids->begin(), ids->end(),
+                                 std::greater_equal<KeyId>()),
+              ids->end());
+  }
+  EXPECT_EQ(IdsToKeys(row.read_ids), reads);
+  EXPECT_EQ(IdsToKeys(row.write_ids), writes);
+  EXPECT_EQ(IdsToKeys(row.accessed_ids), accessed);
+}
+
+/// A random rwset over a small key universe: repeated point reads, range
+/// results that repeat point reads and each other, writes and deletes.
+ReadWriteSet RandomRwset(uint64_t& lcg) {
+  auto next = [&lcg]() {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<uint32_t>(lcg >> 33);
+  };
+  auto key = [&] { return "rowks~k" + std::to_string(next() % 30); };
+  ReadWriteSet rw;
+  const uint32_t items = next() % 40;
+  for (uint32_t i = 0; i < items; ++i) {
+    switch (next() % 4) {
+      case 0:
+        rw.reads.push_back(ReadItem{key(), Version{1, 0}});
+        break;
+      case 1:
+        rw.writes.push_back(WriteItem{key(), "v", next() % 5 == 0});
+        break;
+      case 2:
+        rw.range_queries.emplace_back();
+        break;
+      default:
+        if (rw.range_queries.empty()) rw.range_queries.emplace_back();
+        rw.range_queries.back().results.push_back(
+            ReadItem{key(), Version{1, 1}});
+        break;
+    }
+  }
+  return rw;
+}
+
+TEST(RowKeySetProperty, RwsetIdSetsMirrorStringAccessors) {
+  // Every rwset goes into a fresh row and into one row recycled across
+  // all rounds: a refill must not keep anything of the previous rwset.
+  uint64_t lcg = 4096;
+  const Block block;
+  MetricsRow recycled;
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    Transaction tx;
+    tx.rwset = RandomRwset(lcg);
+    const ReadWriteSet& rw = tx.rwset;
+    MetricsRow fresh;
+    RowFromTransactionInto(block, tx, fresh);
+    RowFromTransactionInto(block, tx, recycled);
+    for (const MetricsRow* row : {&fresh, &recycled}) {
+      ExpectKeySets(*row, rw.ReadKeys(), rw.WriteKeys(), rw.AccessedKeys());
+      std::vector<KeyId> value_writes, deletes;
+      for (const WriteItem& w : rw.writes) {
+        (w.is_delete ? deletes : value_writes).push_back(w.id());
+      }
+      EXPECT_EQ(row->value_write_ids, value_writes);
+      EXPECT_EQ(row->delete_ids, deletes);
+      EXPECT_EQ(row->range_bounds.size(), rw.range_queries.size());
+    }
+  }
+}
+
+TEST(RowKeySetTest, EntryIdSetsMirrorStringAccessors) {
+  std::vector<BlockchainLogEntry> entries = RandomRowStream(5, 200);
+  BlockchainLogEntry shared;
+  shared.read_keys = {"rowks~r", "rowks~shared"};
+  shared.writes = {{"rowks~w", "1"}, {"rowks~shared", "2"}};
+  shared.delete_keys = {"rowks~d", "rowks~w"};
+  entries.push_back(shared);
+  for (const BlockchainLogEntry& e : entries) {
+    SCOPED_TRACE("commit order " + std::to_string(e.commit_order));
+    std::vector<std::string> reads = e.read_keys;
+    std::sort(reads.begin(), reads.end());
+    reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
+    ExpectKeySets(RowFromEntry(e), reads, e.WriteKeys(), e.AccessedKeys());
   }
 }
 

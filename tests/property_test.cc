@@ -300,7 +300,6 @@ TEST(ServiceStationInvariants, FifoCompletionOrderUnderEqualServiceTimes) {
       EXPECT_EQ(completion_order[static_cast<size_t>(i)], i)
           << "servers=" << servers;
     }
-    EXPECT_EQ(station.jobs_completed(), static_cast<uint64_t>(n));
   }
 }
 
@@ -311,14 +310,15 @@ TEST(ServiceStationInvariants, BusyTimeEqualsSumOfServiceTimes) {
   Simulator sim;
   ServiceStation station(&sim, "endorser", 2);
   double expected = 0;
+  int completed = 0;
   for (int i = 0; i < 50; ++i) {
     const double service = 0.001 + rng.NextDouble() * 0.5;
     expected += service;
-    station.Submit(service, []() {});
+    station.Submit(service, [&completed]() { ++completed; });
   }
   sim.Run();
   EXPECT_DOUBLE_EQ(station.busy_time(), expected);
-  EXPECT_EQ(station.jobs_completed(), 50u);
+  EXPECT_EQ(completed, 50);
 }
 
 TEST(ServiceStationInvariants, CurrentDelayIsZeroWhenIdle) {

@@ -89,6 +89,39 @@ TEST(ConflictGraphTest, IndependentTxsKeepArrivalOrder) {
   EXPECT_EQ(graph.SerializableOrder(alive), (std::vector<int>{0, 1, 2}));
 }
 
+TEST(ConflictGraphTest, RepeatedKeysYieldOneEdgePerPair) {
+  // tx0 reads k by point read and as a range result, tx1 returns k from
+  // two range queries, tx2 writes k twice; tx0 also writes a, which tx2
+  // reads, so tx0 and tx2 form a cycle. The graph must equal the one over
+  // the same key sets without repeats.
+  auto range = [](std::vector<std::string> keys) {
+    RangeQueryInfo rq;
+    for (auto& k : keys) rq.results.push_back(ReadItem{k, Version{0, 0}});
+    return rq;
+  };
+  std::vector<ReadWriteSet> repeated = {Rw({"k"}, {"a"}), Rw({}, {}),
+                                        Rw({"a"}, {"k", "k"})};
+  repeated[0].range_queries.push_back(range({"j", "k"}));
+  repeated[1].range_queries.push_back(range({"k"}));
+  repeated[1].range_queries.push_back(range({"k", "l"}));
+  std::vector<ReadWriteSet> once = {Rw({"j", "k"}, {"a"}), Rw({"k", "l"}, {}),
+                                    Rw({"a"}, {"k"})};
+  ConflictGraph graph({&repeated[0], &repeated[1], &repeated[2]});
+  ConflictGraph reference({&once[0], &once[1], &once[2]});
+  EXPECT_EQ(graph.InvalidatedBy(0), (std::vector<int>{2}));
+  EXPECT_TRUE(graph.InvalidatedBy(1).empty());
+  EXPECT_EQ(graph.InvalidatedBy(2), (std::vector<int>{0, 1}));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(graph.InvalidatedBy(i), reference.InvalidatedBy(i)) << i;
+  }
+  const std::vector<int> aborted = graph.BreakCycles();
+  EXPECT_EQ(aborted.size(), 1u);
+  EXPECT_EQ(aborted, reference.BreakCycles());
+  std::vector<bool> alive(3, true);
+  for (int v : aborted) alive[static_cast<size_t>(v)] = false;
+  EXPECT_EQ(graph.SerializableOrder(alive), reference.SerializableOrder(alive));
+}
+
 // ---------------------------------------------------------------------------
 // Fabric++-style intra-block reordering
 // ---------------------------------------------------------------------------

@@ -184,6 +184,25 @@ TEST(ShardRunnerTest, RejectsNonPositiveEpochAndAcceptsEmptyShardList) {
   EXPECT_TRUE(RunShards({}, options, nullptr).ok());
 }
 
+TEST(ShardRunnerTest, RejectsAnEpochTheFastForwardCannotCover) {
+  // Past 9e18 epochs the runner can no longer jump to a covering epoch
+  // and would step one epoch at a time: 36,000 s / 9e18 = 4e-15 s is the
+  // shortest epoch the default max_time admits.
+  CountingShard shard(1);
+  ShardRunnerOptions options;
+  for (double epoch : {1e-300, 1e-20, 1e-15}) {
+    options.epoch_s = epoch;
+    EXPECT_TRUE(RunShards({&shard}, options, nullptr).IsInvalidArgument())
+        << epoch;
+  }
+  EXPECT_EQ(shard.done_count(), 0);  // rejected before the first epoch
+  // The bound scales with max_time, and an admitted tiny epoch finishes.
+  options.max_time = 2.0;
+  options.epoch_s = 1e-18;
+  ASSERT_TRUE(RunShards({&shard}, options, nullptr).ok());
+  EXPECT_TRUE(shard.done());
+}
+
 TEST(ShardRunnerTest, MaxTimeGuardFailsStuckRuns) {
   class StuckShard : public Shard {
    public:
@@ -278,7 +297,8 @@ TEST(MinCouplingLatencyTest, DerivedFromTheLatencyModel) {
 // ---------------------------------------------------------------------------
 
 ExperimentConfig ShardedExperiment(int num_txs, double rate, int channels,
-                                   int sim_threads) {
+                                   int sim_threads,
+                                   const std::string& scheduler = "") {
   SyntheticConfig wl;
   wl.num_txs = num_txs;
   wl.send_rate = rate;
@@ -287,6 +307,7 @@ ExperimentConfig ShardedExperiment(int num_txs, double rate, int channels,
   cfg.channels = channels;
   cfg.sim_threads = sim_threads;
   cfg.enable_telemetry = true;
+  cfg.orderer_scheduler = scheduler;
   return cfg;
 }
 
@@ -297,35 +318,41 @@ std::string ReportKey(const PerformanceReport& r) {
 }
 
 TEST(ShardedExperimentTest, ExportsAreFieldIdenticalForEveryThreadCount) {
-  std::vector<ExperimentOutput> runs;
-  for (int threads : {1, 2, 8}) {
-    auto out = RunExperiment(ShardedExperiment(1200, 300, 4, threads));
-    ASSERT_TRUE(out.ok()) << out.status();
-    ASSERT_EQ(out->channels.size(), 4u);
-    runs.push_back(std::move(*out));
-  }
-  for (size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(ReportKey(runs[0].report), ReportKey(runs[i].report));
-    EXPECT_EQ(runs[0].events_processed, runs[i].events_processed);
-    EXPECT_EQ(runs[0].endorsement_counts, runs[i].endorsement_counts);
-    for (size_t c = 0; c < 4; ++c) {
-      const auto& a = runs[0].channels[c];
-      const auto& b = runs[i].channels[c];
-      EXPECT_EQ(ReportKey(a.report), ReportKey(b.report));
-      EXPECT_EQ(a.events_processed, b.events_processed);
-      EXPECT_DOUBLE_EQ(a.sim_end_time, b.sim_end_time);
-      ASSERT_NE(a.telemetry, nullptr);
-      ASSERT_NE(b.telemetry, nullptr);
-      // Byte-identical telemetry: snapshot JSON and labeled Prometheus.
-      EXPECT_EQ(TelemetrySnapshotJson(*a.telemetry).Dump(),
-                TelemetrySnapshotJson(*b.telemetry).Dump());
-      std::ostringstream prom_a, prom_b;
-      WritePrometheusText(*a.telemetry, prom_a, std::to_string(c));
-      WritePrometheusText(*b.telemetry, prom_b, std::to_string(c));
-      EXPECT_EQ(prom_a.str(), prom_b.str());
-      // The ledgers themselves must match block-for-block.
-      EXPECT_EQ(LogToJson(ExtractBlockchainLog(a.ledger)).Dump(),
-                LogToJson(ExtractBlockchainLog(b.ledger)).Dump());
+  // FabricSharp builds a conflict graph per block on each shard thread,
+  // filling its rwset items' cached key ids as it goes.
+  for (const std::string scheduler : {"", "fabricsharp"}) {
+    SCOPED_TRACE("scheduler '" + scheduler + "'");
+    std::vector<ExperimentOutput> runs;
+    for (int threads : {1, 2, 8}) {
+      auto out =
+          RunExperiment(ShardedExperiment(1200, 300, 4, threads, scheduler));
+      ASSERT_TRUE(out.ok()) << out.status();
+      ASSERT_EQ(out->channels.size(), 4u);
+      runs.push_back(std::move(*out));
+    }
+    for (size_t i = 1; i < runs.size(); ++i) {
+      EXPECT_EQ(ReportKey(runs[0].report), ReportKey(runs[i].report));
+      EXPECT_EQ(runs[0].events_processed, runs[i].events_processed);
+      EXPECT_EQ(runs[0].endorsement_counts, runs[i].endorsement_counts);
+      for (size_t c = 0; c < 4; ++c) {
+        const auto& a = runs[0].channels[c];
+        const auto& b = runs[i].channels[c];
+        EXPECT_EQ(ReportKey(a.report), ReportKey(b.report));
+        EXPECT_EQ(a.events_processed, b.events_processed);
+        EXPECT_DOUBLE_EQ(a.sim_end_time, b.sim_end_time);
+        ASSERT_NE(a.telemetry, nullptr);
+        ASSERT_NE(b.telemetry, nullptr);
+        // Byte-identical telemetry: snapshot JSON and labeled Prometheus.
+        EXPECT_EQ(TelemetrySnapshotJson(*a.telemetry).Dump(),
+                  TelemetrySnapshotJson(*b.telemetry).Dump());
+        std::ostringstream prom_a, prom_b;
+        WritePrometheusText(*a.telemetry, prom_a, std::to_string(c));
+        WritePrometheusText(*b.telemetry, prom_b, std::to_string(c));
+        EXPECT_EQ(prom_a.str(), prom_b.str());
+        // The ledgers themselves must match block-for-block.
+        EXPECT_EQ(LogToJson(ExtractBlockchainLog(a.ledger)).Dump(),
+                  LogToJson(ExtractBlockchainLog(b.ledger)).Dump());
+      }
     }
   }
 }

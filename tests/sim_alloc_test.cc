@@ -71,7 +71,7 @@ TEST(SimAllocTest, WarmServiceStationSubmitIsAllocationFree) {
     }
     sim.Run();
   };
-  churn();  // warm-up: grows the station's parked-job pool
+  churn();  // warm-up: grows the heap and the slot pool the jobs land in
   const std::uint64_t before = AllocationCount();
   churn();
   const std::uint64_t delta = AllocationCount() - before;

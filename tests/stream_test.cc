@@ -144,6 +144,25 @@ TEST_P(StreamEquivalenceTest, CumulativeMatchesBatchPipeline) {
   EXPECT_EQ(out->stream->entries_seen(), batch.total_txs);
   EXPECT_GT(out->stream->blocks_seen(), 0u);
   EXPECT_GT(out->stream->evaluations(), 0u);
+
+  // Its conflict-graph window has the edges a batch ConflictGraph finds
+  // among the last transactions the engine saw.
+  std::vector<const ReadWriteSet*> rwsets;
+  for (const Block& block : out->ledger.blocks()) {
+    for (const Transaction& tx : block.transactions) {
+      if (!tx.is_config && tx.status != TxStatus::kConfig) {
+        rwsets.push_back(&tx.rwset);
+      }
+    }
+  }
+  const auto adjacency = out->stream->conflict_graph().Adjacency();
+  ASSERT_LE(adjacency.size(), rwsets.size());
+  rwsets.erase(rwsets.begin(),
+               rwsets.end() - static_cast<long>(adjacency.size()));
+  const ConflictGraph window(rwsets);
+  for (size_t i = 0; i < adjacency.size(); ++i) {
+    EXPECT_EQ(adjacency[i], window.InvalidatedBy(static_cast<int>(i))) << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, StreamEquivalenceTest,
@@ -177,6 +196,16 @@ ReadWriteSet MakeRwSet(uint64_t& lcg) {
   return rw;
 }
 
+/// The RS/WS id sets the streaming engine hands the graph: its metrics
+/// row's.
+MetricsRow RowOf(const ReadWriteSet& rw) {
+  Transaction tx;
+  tx.rwset = rw;
+  MetricsRow row;
+  RowFromTransactionInto(Block{}, tx, row);
+  return row;
+}
+
 TEST(WindowedConflictGraphTest, MatchesBatchRebuildAfterEveryBlock) {
   // Feed 20 "blocks" of 8 transactions; after each block the incremental
   // adjacency must equal a ConflictGraph rebuilt from scratch over every
@@ -187,7 +216,8 @@ TEST(WindowedConflictGraphTest, MatchesBatchRebuildAfterEveryBlock) {
   for (int block = 0; block < 20; ++block) {
     for (int i = 0; i < 8; ++i) {
       all.push_back(MakeRwSet(lcg));
-      inc.AddNode(all.back().ReadKeyIds(), all.back().WriteKeyIds());
+      const MetricsRow row = RowOf(all.back());
+      inc.AddNode(row.read_ids, row.write_ids);
     }
     std::vector<const ReadWriteSet*> ptrs;
     for (const auto& rw : all) ptrs.push_back(&rw);
@@ -213,7 +243,8 @@ TEST(WindowedConflictGraphTest, EvictionMatchesBatchOverWindowSuffix) {
   WindowedConflictGraph inc(kWindow);
   for (int step = 0; step < 120; ++step) {
     all.push_back(MakeRwSet(lcg));
-    inc.AddNode(all.back().ReadKeyIds(), all.back().WriteKeyIds());
+    const MetricsRow row = RowOf(all.back());
+    inc.AddNode(row.read_ids, row.write_ids);
     EXPECT_LE(inc.size(), kWindow);
     if (step % 10 != 9) continue;  // compare every 10 adds
     const size_t live = std::min(all.size(), kWindow);

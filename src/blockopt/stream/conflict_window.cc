@@ -1,7 +1,5 @@
 #include "blockopt/stream/conflict_window.h"
 
-#include <algorithm>
-
 namespace blockoptr {
 
 WindowedConflictGraph::WindowedConflictGraph(size_t max_nodes)
@@ -11,7 +9,30 @@ uint64_t WindowedConflictGraph::AddNode(const std::vector<KeyId>& read_ids,
                                         const std::vector<KeyId>& write_ids) {
   if (nodes_.size() >= max_nodes_) EvictOldest();
 
+  // Existing writers of keys this node reads invalidate it (w -> seq), and
+  // its writes invalidate existing readers (seq -> r). Either edge joins an
+  // older node to this one, so it is counted on the older node; `stamp`
+  // marks the older nodes already linked in this direction. The node is
+  // not yet in any posting, so no self-edge can form.
   const uint64_t seq = next_seq_++;
+  auto link_older = [&](const std::vector<Posting>& side,
+                        const std::vector<KeyId>& ids,
+                        uint64_t Node::*stamp) {
+    for (KeyId id : ids) {
+      if (id >= side.size()) continue;
+      const Posting& p = side[id];
+      for (size_t i = p.head; i < p.seqs.size(); ++i) {
+        Node& older = NodeForSeq(p.seqs[i]);
+        if (older.*stamp == seq) continue;
+        older.*stamp = seq;
+        ++older.newer_edges;
+        ++edge_count_;
+      }
+    }
+  };
+  link_older(writers_, read_ids, &Node::out_stamp);
+  link_older(readers_, write_ids, &Node::in_stamp);
+
   Node node;
   if (!pool_.empty()) {
     node = std::move(pool_.back());
@@ -20,61 +41,11 @@ uint64_t WindowedConflictGraph::AddNode(const std::vector<KeyId>& read_ids,
   node.seq = seq;
   node.read_ids = read_ids;
   node.write_ids = write_ids;
-  node.in.clear();
-  node.out.clear();
-
-  // Existing writers of keys this node reads invalidate it: w -> seq. A
-  // writer reached through several keys must count once, so the posting
-  // union is deduped first; `seq` is then appended to each writer's out
-  // list (it is the largest live seq, so the list stays sorted).
-  scratch_.clear();
-  for (KeyId id : read_ids) {
-    if (id >= writers_.size()) continue;
-    const Posting& p = writers_[id];
-    scratch_.insert(scratch_.end(), p.seqs.begin() + static_cast<long>(p.head),
-                    p.seqs.end());
-  }
-  if (!scratch_.empty()) {
-    std::sort(scratch_.begin(), scratch_.end());
-    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                   scratch_.end());
-    for (uint64_t w : scratch_) NodeForSeq(w).out.push_back(seq);
-    node.in = scratch_;
-    edge_count_ += scratch_.size();
-  }
-
-  // This node's writes invalidate existing readers: seq -> r. The node is
-  // not yet registered in any posting, so no self-edge can form.
-  scratch_.clear();
-  for (KeyId id : write_ids) {
-    if (id >= readers_.size()) continue;
-    const Posting& p = readers_[id];
-    scratch_.insert(scratch_.end(), p.seqs.begin() + static_cast<long>(p.head),
-                    p.seqs.end());
-  }
-  if (!scratch_.empty()) {
-    std::sort(scratch_.begin(), scratch_.end());
-    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                   scratch_.end());
-    for (uint64_t r : scratch_) NodeForSeq(r).in.push_back(seq);
-    node.out = scratch_;
-    edge_count_ += scratch_.size();
-  }
-
+  node.newer_edges = 0;
   for (KeyId id : node.read_ids) PostingFor(readers_, id).push_back(seq);
   for (KeyId id : node.write_ids) PostingFor(writers_, id).push_back(seq);
   nodes_.push_back(std::move(node));
   return seq;
-}
-
-void WindowedConflictGraph::EraseSeq(std::vector<uint64_t>& sorted,
-                                     uint64_t seq) {
-  if (!sorted.empty() && sorted.front() == seq) {
-    sorted.erase(sorted.begin());
-    return;
-  }
-  auto it = std::lower_bound(sorted.begin(), sorted.end(), seq);
-  if (it != sorted.end() && *it == seq) sorted.erase(it);
 }
 
 void WindowedConflictGraph::EvictOldest() {
@@ -95,24 +66,10 @@ void WindowedConflictGraph::EvictOldest() {
     if (!p.empty() && p.front() == seq) p.pop_front();
   }
 
-  edge_count_ -= victim.out.size() + victim.in.size();
-  for (uint64_t t : victim.out) EraseSeq(NodeForSeq(t).in, seq);
-  for (uint64_t s : victim.in) EraseSeq(NodeForSeq(s).out, seq);
+  // Every live edge of the oldest node joins it to a newer one.
+  edge_count_ -= victim.newer_edges;
   pool_.push_back(std::move(victim));
   nodes_.pop_front();
-}
-
-std::vector<std::vector<int>> WindowedConflictGraph::Adjacency() const {
-  std::vector<std::vector<int>> adj(nodes_.size());
-  if (nodes_.empty()) return adj;
-  const uint64_t base = nodes_.front().seq;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    adj[i].reserve(nodes_[i].out.size());
-    for (uint64_t t : nodes_[i].out) {
-      adj[i].push_back(static_cast<int>(t - base));
-    }
-  }
-  return adj;
 }
 
 }  // namespace blockoptr

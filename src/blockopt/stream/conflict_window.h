@@ -10,27 +10,28 @@
 
 namespace blockoptr {
 
-/// Incrementally maintained conflict graph over a sliding window of
+/// Edge count of the conflict graph over a sliding window of
 /// transactions. Same edge semantics as `reorder::ConflictGraph`: an edge
 /// i -> j exists when i *writes* a key that j *reads* (range results
-/// included), i != j. Instead of rebuilding the flat sorted (key, tx)
-/// arrays per batch, per-key reader/writer posting lists are updated as
+/// included), i != j. Per-key reader/writer posting lists are updated as
 /// each transaction arrives and trimmed as the oldest falls out of the
 /// window — O(keys + touched postings) per add/evict rather than
 /// O(window log window) per block.
 ///
-/// Adjacency lists and postings are append-only sorted vectors, not
-/// trees: node sequence numbers only grow, so every insertion lands at
-/// the back, and the evicted node always holds the globally smallest
-/// live seq, so every removal pops the front. That keeps the per-edge
-/// cost at one vector append (no per-edge tree-node allocation), which
-/// is what makes the graph cheap enough for the always-on streaming
-/// profile.
+/// The edges themselves are not kept, only counted. Every edge joins a
+/// node to a newer one, and eviction always removes the oldest node, so
+/// each node counts its live edges to newer nodes: an add bumps the count
+/// of each older neighbour, once per direction (a per-node stamp, not a
+/// sort + unique, drops a neighbour reached through a second key), and an
+/// eviction subtracts the evicted node's count.
+///
+/// Postings are append-only sorted vectors, not trees: node sequence
+/// numbers only grow, so every insertion lands at the back, and the
+/// evicted node always holds the globally smallest live seq, so every
+/// removal pops the front.
 ///
 /// Capacity-bounded: at most `max_nodes` live transactions; adding beyond
-/// that evicts the oldest (FIFO). `Adjacency()` returns window-relative
-/// indices directly comparable to a from-scratch `ConflictGraph` built
-/// over the same transactions in arrival order.
+/// that evicts the oldest (FIFO).
 class WindowedConflictGraph {
  public:
   explicit WindowedConflictGraph(size_t max_nodes);
@@ -48,16 +49,12 @@ class WindowedConflictGraph {
   size_t size() const { return nodes_.size(); }
   bool empty() const { return nodes_.empty(); }
   size_t max_nodes() const { return max_nodes_; }
-  /// Directed edges currently live.
+  /// Directed edges currently live: the total adjacency size of a
+  /// `ConflictGraph` over the live transactions in arrival order.
   size_t EdgeCount() const { return edge_count_; }
   /// Sequence number of the oldest live node (0 when empty).
   uint64_t OldestSeq() const { return nodes_.empty() ? 0 : nodes_.front().seq; }
   uint64_t NextSeq() const { return next_seq_; }
-
-  /// Window-relative adjacency (index 0 = oldest live node), each list
-  /// sorted ascending — field-for-field comparable to
-  /// `ConflictGraph::InvalidatedBy` over the same transactions.
-  std::vector<std::vector<int>> Adjacency() const;
 
  private:
   struct Node {
@@ -65,10 +62,14 @@ class WindowedConflictGraph {
     // Kept so eviction knows which postings to trim.
     std::vector<KeyId> read_ids;
     std::vector<KeyId> write_ids;
-    // Sorted ascending: edges to newer nodes are appended as they
-    // arrive, and eviction only ever removes the minimum seq.
-    std::vector<uint64_t> out;  // this node's writes invalidate these readers
-    std::vector<uint64_t> in;   // these writers invalidate this node's reads
+    // Live edges between this node and newer ones, either direction.
+    size_t newer_edges = 0;
+    // Seq of the last added node that this node's writes invalidate
+    // (out_stamp), or whose writes invalidate this node (in_stamp). Both
+    // only ever hold the seq of an earlier add, never the current one's,
+    // so a recycled node needs no reset.
+    uint64_t out_stamp = 0;
+    uint64_t in_stamp = 0;
   };
 
   /// Per-key posting list of live node seqs, ascending. A flat vector
@@ -96,10 +97,6 @@ class WindowedConflictGraph {
     return nodes_[static_cast<size_t>(seq - nodes_.front().seq)];
   }
 
-  /// Removes `seq` from a sorted edge list. The caller only ever removes
-  /// the oldest live node, so the hit is at the front.
-  static void EraseSeq(std::vector<uint64_t>& sorted, uint64_t seq);
-
   /// Grows `side` to cover `id` and returns its posting. Key ids are
   /// dense (interned sequentially from zero), so direct indexing replaces
   /// hashing on the two lookups every transaction key pays; an id never
@@ -115,10 +112,8 @@ class WindowedConflictGraph {
   std::vector<Posting> readers_;  // indexed by KeyId
   std::vector<Posting> writers_;  // indexed by KeyId
   size_t edge_count_ = 0;
-  // AddNode scratch (member to avoid per-call allocation).
-  std::vector<uint64_t> scratch_;
   // Evicted nodes parked for reuse so a steady-state window recycles
-  // its id/edge vector buffers instead of reallocating them per node.
+  // its id vector buffers instead of reallocating them per node.
   std::vector<Node> pool_;
 };
 

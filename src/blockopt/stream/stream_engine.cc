@@ -15,7 +15,7 @@ StreamEngine::StreamEngine(const StreamOptions& options)
       recommender_(options.recommender, options.max_events),
       graph_(options.conflict_window),
       topk_(options.topk_capacity),
-      open_{MetricsAccumulator(options.recommender.metrics)},
+      open_{MetricsAccumulator(options.recommender.metrics), {}},
       window_scratch_(options.recommender.metrics),
       commit_tps_("stream.commit_tps", options.series_capacity),
       failures_per_s_("stream.failures_per_s", options.series_capacity),
@@ -42,7 +42,7 @@ void StreamEngine::SealOpen() {
     open_ = std::move(pane_pool_.back());
     pane_pool_.pop_back();
   } else {
-    open_ = Pane{MetricsAccumulator(options_.recommender.metrics)};
+    open_ = Pane{MetricsAccumulator(options_.recommender.metrics), {}};
   }
 }
 

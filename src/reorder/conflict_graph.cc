@@ -10,7 +10,6 @@ namespace blockoptr {
 ConflictGraph::ConflictGraph(const std::vector<const ReadWriteSet*>& rwsets) {
   const size_t n = rwsets.size();
   adj_.assign(n, {});
-  removed_.assign(n, false);
 
   // Readers and writers as two flat sorted (key, tx) arrays over the
   // items' interned ids, intersected with one sequential co-walk: no
@@ -93,120 +92,142 @@ ConflictGraph::ConflictGraph(const std::vector<const ReadWriteSet*>& rwsets) {
   }
 }
 
-std::vector<std::vector<int>> ConflictGraph::StronglyConnectedComponents()
-    const {
-  // Iterative Tarjan.
-  const int n = static_cast<int>(adj_.size());
-  std::vector<int> index(static_cast<size_t>(n), -1);
-  std::vector<int> lowlink(static_cast<size_t>(n), 0);
-  std::vector<bool> on_stack(static_cast<size_t>(n), false);
-  std::vector<int> stack;
-  std::vector<std::vector<int>> sccs;
-  int next_index = 0;
+namespace {
 
-  struct Frame {
-    int v;
-    size_t child;
+/// Working state of Tarjan's algorithm, kept by the caller so that
+/// repeated passes over one graph allocate only on the first.
+struct TarjanScratch {
+  struct Visit {
+    int index = -1;  // discovery index; -1 = not yet visited
+    int lowlink = 0;
+    bool on_stack = false;
   };
-  for (int start = 0; start < n; ++start) {
-    if (index[static_cast<size_t>(start)] != -1 ||
-        removed_[static_cast<size_t>(start)]) {
-      continue;
-    }
-    std::vector<Frame> frames{{start, 0}};
-    index[static_cast<size_t>(start)] = lowlink[static_cast<size_t>(start)] =
-        next_index++;
-    stack.push_back(start);
-    on_stack[static_cast<size_t>(start)] = true;
+  std::vector<Visit> visit;
+  std::vector<int> stack;
+  std::vector<std::pair<int, size_t>> frames;  // (node, next successor)
+  std::vector<int> scc;                        // the SCC last emitted
+};
 
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      const auto& succ = adj_[static_cast<size_t>(f.v)];
+/// Iterative Tarjan over the nodes not `removed`, rooted at each unvisited
+/// node in index order. Hands each SCC, members in pop order, to
+/// `stop(scc)` in emission (reverse topological) order, and returns true
+/// as soon as `stop` does; the stopping SCC stays in `s.scc`.
+template <typename Stop>
+bool Tarjan(const std::vector<std::vector<int>>& adj,
+            const std::vector<bool>& removed, TarjanScratch& s, Stop&& stop) {
+  const size_t n = adj.size();
+  s.visit.assign(n, TarjanScratch::Visit{});
+  s.stack.clear();
+  s.frames.clear();
+  s.stack.reserve(n);
+  s.frames.reserve(n);
+  s.scc.reserve(n);
+  int next_index = 0;
+  auto enter = [&](int v) {
+    s.visit[static_cast<size_t>(v)] = {next_index, next_index, true};
+    ++next_index;
+    s.stack.push_back(v);
+    s.frames.emplace_back(v, 0);
+  };
+  for (size_t start = 0; start < n; ++start) {
+    if (s.visit[start].index != -1 || removed[start]) continue;
+    enter(static_cast<int>(start));
+    while (!s.frames.empty()) {
+      auto& [v, child] = s.frames.back();
+      TarjanScratch::Visit& fv = s.visit[static_cast<size_t>(v)];
+      const std::vector<int>& succ = adj[static_cast<size_t>(v)];
       bool descended = false;
-      while (f.child < succ.size()) {
-        int w = succ[f.child++];
-        if (removed_[static_cast<size_t>(w)]) continue;
-        if (index[static_cast<size_t>(w)] == -1) {
-          index[static_cast<size_t>(w)] = lowlink[static_cast<size_t>(w)] =
-              next_index++;
-          stack.push_back(w);
-          on_stack[static_cast<size_t>(w)] = true;
-          frames.push_back({w, 0});
+      while (child < succ.size()) {
+        const int w = succ[child++];
+        if (removed[static_cast<size_t>(w)]) continue;
+        const TarjanScratch::Visit& wv = s.visit[static_cast<size_t>(w)];
+        if (wv.index == -1) {
+          enter(w);
           descended = true;
           break;
         }
-        if (on_stack[static_cast<size_t>(w)]) {
-          lowlink[static_cast<size_t>(f.v)] =
-              std::min(lowlink[static_cast<size_t>(f.v)],
-                       index[static_cast<size_t>(w)]);
-        }
+        if (wv.on_stack) fv.lowlink = std::min(fv.lowlink, wv.index);
       }
       if (descended) continue;
-      // Done with f.v.
-      if (lowlink[static_cast<size_t>(f.v)] ==
-          index[static_cast<size_t>(f.v)]) {
-        std::vector<int> scc;
+      // Done with v.
+      const int done = v;
+      const int lowlink = fv.lowlink;
+      if (lowlink == fv.index) {
+        s.scc.clear();
         for (;;) {
-          int w = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<size_t>(w)] = false;
-          scc.push_back(w);
-          if (w == f.v) break;
+          const int w = s.stack.back();
+          s.stack.pop_back();
+          s.visit[static_cast<size_t>(w)].on_stack = false;
+          s.scc.push_back(w);
+          if (w == done) break;
         }
-        sccs.push_back(std::move(scc));
+        if (stop(s.scc)) return true;
       }
-      int v = f.v;
-      frames.pop_back();
-      if (!frames.empty()) {
-        int parent = frames.back().v;
-        lowlink[static_cast<size_t>(parent)] =
-            std::min(lowlink[static_cast<size_t>(parent)],
-                     lowlink[static_cast<size_t>(v)]);
+      s.frames.pop_back();
+      if (!s.frames.empty()) {
+        const int parent = s.frames.back().first;
+        int& parent_lowlink = s.visit[static_cast<size_t>(parent)].lowlink;
+        parent_lowlink = std::min(parent_lowlink, lowlink);
       }
     }
   }
+  return false;
+}
+
+}  // namespace
+
+std::vector<std::vector<int>> ConflictGraph::StronglyConnectedComponents()
+    const {
+  TarjanScratch scratch;
+  const std::vector<bool> none_removed(adj_.size(), false);
+  std::vector<std::vector<int>> sccs;
+  Tarjan(adj_, none_removed, scratch, [&sccs](const std::vector<int>& scc) {
+    sccs.push_back(scc);
+    return false;
+  });
   return sccs;
 }
 
-std::vector<int> ConflictGraph::BreakCycles() {
-  std::vector<int> aborted;
-  for (;;) {
-    auto sccs = StronglyConnectedComponents();
-    // Also handle self-loops (a tx cannot invalidate itself in Fabric —
-    // reads are taken before writes — so adj_ never has self-edges; only
-    // multi-node SCCs matter).
-    std::vector<int>* worst_scc = nullptr;
-    for (auto& scc : sccs) {
-      if (scc.size() > 1) {
-        worst_scc = &scc;
-        break;
+std::vector<int> ConflictGraph::BreakCycles() const {
+  // Each round needs only the first SCC with more than one member (adj_
+  // has no self-edges, so a single node is acyclic), so Tarjan stops
+  // there, and every round reuses the first round's scratch.
+  TarjanScratch scratch;
+  std::vector<bool> removed(adj_.size(), false);
+  size_t victims = 0;
+  // Degree of each member of the round's SCC; other entries are scratch.
+  std::vector<size_t> degree;
+  while (Tarjan(adj_, removed, scratch, [](const std::vector<int>& scc) {
+    return scc.size() > 1;
+  })) {
+    const std::vector<int>& cycle = scratch.scc;
+    // Drop the member with the highest degree: its edges to survivors
+    // plus the edges from other members (the first member on a tie).
+    if (degree.empty()) degree.resize(adj_.size());
+    for (int v : cycle) degree[static_cast<size_t>(v)] = 0;
+    for (int v : cycle) {
+      for (int w : adj_[static_cast<size_t>(v)]) {
+        if (removed[static_cast<size_t>(w)]) continue;
+        ++degree[static_cast<size_t>(v)];
+        ++degree[static_cast<size_t>(w)];  // read only if w is a member
       }
     }
-    if (worst_scc == nullptr) break;
-    // Drop the member with the highest degree inside the SCC.
-    int victim = (*worst_scc)[0];
+    int victim = cycle[0];
     size_t best_degree = 0;
-    for (int v : *worst_scc) {
-      size_t degree = 0;
-      for (int w : adj_[static_cast<size_t>(v)]) {
-        if (!removed_[static_cast<size_t>(w)]) ++degree;
-      }
-      for (int u : *worst_scc) {
-        if (u == v || removed_[static_cast<size_t>(u)]) continue;
-        if (std::binary_search(adj_[static_cast<size_t>(u)].begin(),
-                               adj_[static_cast<size_t>(u)].end(), v)) {
-          ++degree;
-        }
-      }
-      if (degree > best_degree) {
-        best_degree = degree;
+    for (int v : cycle) {
+      if (degree[static_cast<size_t>(v)] > best_degree) {
+        best_degree = degree[static_cast<size_t>(v)];
         victim = v;
       }
     }
-    removed_[static_cast<size_t>(victim)] = true;
-    aborted.push_back(victim);
+    removed[static_cast<size_t>(victim)] = true;
+    ++victims;
   }
-  std::sort(aborted.begin(), aborted.end());
+  std::vector<int> aborted;
+  aborted.reserve(victims);
+  for (size_t i = 0; i < removed.size(); ++i) {
+    if (removed[i]) aborted.push_back(static_cast<int>(i));
+  }
   return aborted;
 }
 

@@ -30,11 +30,12 @@ class ConflictGraph {
   /// Strongly connected components (Tarjan), in reverse topological order.
   std::vector<std::vector<int>> StronglyConnectedComponents() const;
 
-  /// Greedily removes transactions until the graph restricted to the
-  /// survivors is acyclic: within every non-trivial SCC, the transaction
-  /// with the highest conflict degree is dropped first (Fabric++'s
-  /// cycle-elimination heuristic). Returns the aborted indices.
-  std::vector<int> BreakCycles();
+  /// Greedily picks transactions to abort until the graph restricted to
+  /// the survivors is acyclic (Fabric++'s cycle-elimination heuristic):
+  /// each round takes the first SCC with more than one member in Tarjan's
+  /// emission order and drops its member with the highest conflict
+  /// degree. Returns the aborted indices, ascending.
+  std::vector<int> BreakCycles() const;
 
   /// Topological order of the *precedence* DAG over `alive` transactions:
   /// for every conflict edge i -> j (i invalidates j), j is placed before
@@ -44,7 +45,6 @@ class ConflictGraph {
 
  private:
   std::vector<std::vector<int>> adj_;
-  std::vector<bool> removed_;
 };
 
 }  // namespace blockoptr

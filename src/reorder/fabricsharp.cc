@@ -23,18 +23,21 @@ bool FabricSharpReorderer::ReadsFreshAgainstShadow(
       if (!check(r)) return false;
     }
     // A write into the queried range by an ordered tx that the endorser
-    // did not see is a phantom; detect inserts via shadow keys in range.
-    for (const auto& [key, ver] : shadow_) {
-      if (key >= rq.start_key && (rq.end_key.empty() || key < rq.end_key)) {
-        bool seen = false;
-        for (const auto& r : rq.results) {
-          if (r.key == key) {
-            seen = true;
-            break;
-          }
+    // did not see is a phantom; detect inserts via the shadow keys in
+    // [start_key, end_key), an empty end_key reaching the last key.
+    if (!rq.end_key.empty() && rq.end_key <= rq.start_key) continue;
+    const auto last = rq.end_key.empty() ? shadow_.end()
+                                         : shadow_.lower_bound(rq.end_key);
+    for (auto it = shadow_.lower_bound(rq.start_key); it != last; ++it) {
+      if (!it->second.has_value()) continue;  // a delete inserts nothing
+      bool seen = false;
+      for (const auto& r : rq.results) {
+        if (r.key == it->first) {
+          seen = true;
+          break;
         }
-        if (!seen && ver.has_value()) return false;  // phantom insert
       }
+      if (!seen) return false;  // phantom insert
     }
   }
   return true;

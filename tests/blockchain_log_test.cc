@@ -76,11 +76,17 @@ TEST_F(LogFixture, NineAttributesArePopulated) {
 TEST_F(LogFixture, TxTypesMatchActivities) {
   BlockchainLog log = ExtractBlockchainLog(*ledger_);
   for (const auto& e : log.entries()) {
-    if (e.activity == "Read") EXPECT_EQ(e.tx_type, TxType::kRead);
-    if (e.activity == "Write") EXPECT_EQ(e.tx_type, TxType::kWrite);
-    if (e.activity == "Update") EXPECT_EQ(e.tx_type, TxType::kUpdate);
-    if (e.activity == "RangeRead") EXPECT_EQ(e.tx_type, TxType::kRangeRead);
-    if (e.activity == "Delete") EXPECT_EQ(e.tx_type, TxType::kDelete);
+    if (e.activity == "Read") {
+      EXPECT_EQ(e.tx_type, TxType::kRead);
+    } else if (e.activity == "Write") {
+      EXPECT_EQ(e.tx_type, TxType::kWrite);
+    } else if (e.activity == "Update") {
+      EXPECT_EQ(e.tx_type, TxType::kUpdate);
+    } else if (e.activity == "RangeRead") {
+      EXPECT_EQ(e.tx_type, TxType::kRangeRead);
+    } else if (e.activity == "Delete") {
+      EXPECT_EQ(e.tx_type, TxType::kDelete);
+    }
   }
 }
 

@@ -276,6 +276,105 @@ TEST(ConflictGraphProperty, SerializableOrderRespectsPrecedence) {
   }
 }
 
+/// Cycle breaking restated over StronglyConnectedComponents(): each round
+/// builds the graph over the survivors in arrival order (the edges among
+/// them and Tarjan's visiting order are those of the full graph with the
+/// aborted nodes skipped), takes the first SCC with more than one member
+/// in emission order, and drops its member of highest degree — edges to
+/// survivors plus edges from the other SCC members, the first member in
+/// SCC order on a tie.
+std::vector<int> ReferenceBreakCycles(const std::vector<ReadWriteSet>& sets) {
+  std::vector<int> survivors(sets.size());
+  for (size_t i = 0; i < sets.size(); ++i) survivors[i] = static_cast<int>(i);
+  std::vector<int> aborted;
+  for (;;) {
+    std::vector<const ReadWriteSet*> ptrs;
+    for (int s : survivors) ptrs.push_back(&sets[static_cast<size_t>(s)]);
+    const ConflictGraph graph(ptrs);
+    const auto sccs = graph.StronglyConnectedComponents();
+    const std::vector<int>* cycle = nullptr;
+    for (const auto& scc : sccs) {
+      if (scc.size() > 1) {
+        cycle = &scc;
+        break;
+      }
+    }
+    if (cycle == nullptr) break;
+    int victim = (*cycle)[0];
+    size_t best_degree = 0;
+    for (int v : *cycle) {
+      size_t degree = graph.InvalidatedBy(v).size();
+      for (int u : *cycle) {
+        const std::vector<int>& succ = graph.InvalidatedBy(u);
+        if (u != v && std::binary_search(succ.begin(), succ.end(), v)) {
+          ++degree;
+        }
+      }
+      if (degree > best_degree) {
+        best_degree = degree;
+        victim = v;
+      }
+    }
+    aborted.push_back(survivors[static_cast<size_t>(victim)]);
+    survivors.erase(survivors.begin() + victim);
+  }
+  std::sort(aborted.begin(), aborted.end());
+  return aborted;
+}
+
+TEST(ConflictGraphProperty, BreakCyclesMatchesTheFirstSccReference) {
+  // 200 batches of 2-300 transactions, alternating two shapes: a hot key
+  // that most transactions read and write, plus random other keys; and
+  // the small-keyspace mix above.
+  Rng rng(2323);
+  size_t total_aborted = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const bool hot = trial % 2 == 0;
+    const size_t n = 2 + rng.NextBelow(299);
+    std::vector<ReadWriteSet> sets(n);
+    for (auto& rw : sets) {
+      if (hot) {
+        if (rng.NextBool(0.6)) {
+          rw.reads.push_back(ReadItem{"hot", Version{0, 0}});
+          rw.writes.push_back(WriteItem{"hot", "v", false});
+        }
+        for (size_t r = rng.NextBelow(3); r > 0; --r) {
+          rw.reads.push_back(ReadItem{"k" + std::to_string(rng.NextBelow(40)),
+                                      Version{0, 0}});
+        }
+        if (rng.NextBool(0.5)) {
+          rw.writes.push_back(WriteItem{
+              "k" + std::to_string(rng.NextBelow(40)), "v", false});
+        }
+      } else {
+        for (size_t r = rng.NextBelow(3); r > 0; --r) {
+          rw.reads.push_back(ReadItem{"k" + std::to_string(rng.NextBelow(5)),
+                                      Version{0, 0}});
+        }
+        if (rng.NextBool(0.7)) {
+          rw.writes.push_back(WriteItem{
+              "k" + std::to_string(rng.NextBelow(5)), "v", false});
+        }
+      }
+    }
+    std::vector<const ReadWriteSet*> ptrs;
+    for (const auto& rw : sets) ptrs.push_back(&rw);
+    ConflictGraph graph(ptrs);
+    const std::vector<int> aborted = graph.BreakCycles();
+    const std::vector<int> expected = ReferenceBreakCycles(sets);
+    ASSERT_EQ(aborted, expected) << "trial " << trial << ", " << n << " txs";
+    total_aborted += aborted.size();
+
+    std::vector<bool> alive(n, true);
+    for (int a : expected) alive[static_cast<size_t>(a)] = false;
+    const ConflictGraph fresh(ptrs);
+    EXPECT_EQ(graph.SerializableOrder(alive), fresh.SerializableOrder(alive))
+        << "trial " << trial;
+  }
+  // The batches are cyclic enough to exercise many victims per batch.
+  EXPECT_GT(total_aborted, 200u * 20u);
+}
+
 // ---------------------------------------------------------------------------
 // ServiceStation queueing invariants
 // ---------------------------------------------------------------------------

@@ -277,6 +277,62 @@ TEST(FabricSharpTest, PhantomInsertIntoRangeIsDetected) {
   EXPECT_TRUE(batch2[0].pre_aborted);
 }
 
+/// Orders a block whose one transaction writes `shadow_key` (or deletes
+/// it), then a block whose one transaction ran a single range query over
+/// [start_key, end_key) that returned `results`. Returns whether
+/// FabricSharp dooms that range reader.
+bool RangeReaderDoomed(const std::string& shadow_key, bool deleted,
+                       const std::string& start_key,
+                       const std::string& end_key,
+                       std::vector<ReadItem> results = {}) {
+  FabricSharpReorderer reorderer(1);
+  std::vector<Transaction> batch1{Tx(1, {})};
+  batch1[0].rwset.writes.push_back(WriteItem{shadow_key, "v", deleted});
+  reorderer.ProcessBatch(batch1);
+  EXPECT_FALSE(batch1[0].pre_aborted);
+
+  RangeQueryInfo rq;
+  rq.start_key = start_key;
+  rq.end_key = end_key;
+  rq.results = std::move(results);
+  std::vector<Transaction> batch2{Tx(2, {})};
+  batch2[0].rwset.range_queries.push_back(std::move(rq));
+  reorderer.ProcessBatch(batch2);
+  return batch2[0].pre_aborted;
+}
+
+TEST(FabricSharpTest, RangePhantomIncludesTheStartKey) {
+  EXPECT_TRUE(RangeReaderDoomed("key3", false, "key3", "key9"));
+}
+
+TEST(FabricSharpTest, RangePhantomExcludesTheEndKey) {
+  EXPECT_FALSE(RangeReaderDoomed("key9", false, "key3", "key9"));
+}
+
+TEST(FabricSharpTest, RangePhantomWithEmptyEndKeyReachesTheLastKey) {
+  EXPECT_TRUE(RangeReaderDoomed("zzz", false, "key3", ""));
+  EXPECT_FALSE(RangeReaderDoomed("key29", false, "key3", ""));
+}
+
+TEST(FabricSharpTest, RangePhantomIgnoresAShadowDelete) {
+  EXPECT_FALSE(RangeReaderDoomed("key5", true, "key3", "key9"));
+}
+
+TEST(FabricSharpTest, RangePhantomIgnoresAKeyJustBelowTheStart) {
+  EXPECT_FALSE(RangeReaderDoomed("key29", false, "key3", "key9"));
+}
+
+TEST(FabricSharpTest, RangePhantomIgnoresAKeyTheRangeReturned) {
+  // The shadow holds key5 at {1, 0}; the range returned it at that
+  // version, so the reader is fresh.
+  EXPECT_FALSE(RangeReaderDoomed("key5", false, "key3", "key9",
+                                 {ReadItem{"key5", Version{1, 0}}}));
+}
+
+TEST(FabricSharpTest, RangePhantomIgnoresAnInvertedRange) {
+  EXPECT_FALSE(RangeReaderDoomed("key5", false, "key9", "key3"));
+}
+
 TEST(FabricSharpTest, DeletedKeyReadAsAbsentSurvives) {
   FabricSharpReorderer reorderer(1);
   std::vector<Transaction> batch1;

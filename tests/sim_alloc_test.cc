@@ -10,10 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "../bench/counting_new.h"
 #include "common/thread_pool.h"
+#include "ledger/rwset.h"
+#include "reorder/conflict_graph.h"
 #include "sim/service_station.h"
 #include "sim/simulator.h"
 #include "telemetry/sampler.h"
@@ -194,6 +198,42 @@ TEST(ThreadPoolAllocTest, SubmitCostsAtMostThreeAllocationsPerTask) {
   // function target on top — five per task instead of three.
   EXPECT_LE(delta, 3u * kTasks + 16);
   EXPECT_EQ(sum, kTasks * (kTasks - 1) / 2);
+}
+
+/// `n` transactions; `hot_per_ten` of every ten read and write one hot
+/// key, and each also reads and writes one of 50 other keys.
+std::vector<ReadWriteSet> HotKeyBatch(int n, int hot_per_ten) {
+  std::vector<ReadWriteSet> sets(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    ReadWriteSet& rw = sets[static_cast<size_t>(i)];
+    if (i % 10 < hot_per_ten) {
+      rw.reads.push_back(ReadItem{"hot", Version{0, 0}});
+      rw.writes.push_back(WriteItem{"hot", "v", false});
+    }
+    rw.reads.push_back(
+        ReadItem{"k" + std::to_string(i * 7 % 50), Version{0, 0}});
+    rw.writes.push_back(WriteItem{"k" + std::to_string(i * 13 % 50), "v",
+                                  false});
+  }
+  return sets;
+}
+
+TEST(ConflictGraphAllocTest, BreakCyclesAllocationsDoNotGrowWithVictims) {
+  for (int hot_per_ten : {3, 6, 9}) {
+    const std::vector<ReadWriteSet> sets = HotKeyBatch(300, hot_per_ten);
+    std::vector<const ReadWriteSet*> ptrs;
+    for (const ReadWriteSet& rw : sets) ptrs.push_back(&rw);
+    ConflictGraph graph(ptrs);  // interns every key: the graph is warm
+    const std::uint64_t before = AllocationCount();
+    const std::vector<int> aborted = graph.BreakCycles();
+    const std::uint64_t delta = AllocationCount() - before;
+    // Every hot transaction but one is a victim (the hot key makes them a
+    // clique), from about 90 to about 270 here.
+    EXPECT_GE(aborted.size(), static_cast<size_t>(30 * hot_per_ten - 1));
+    // Tarjan's scratch (node states, stack, frames, SCC), the removed
+    // mask, the SCC degrees and the result: seven, whatever the victims.
+    EXPECT_LE(delta, 7u) << hot_per_ten << " hot of every ten";
+  }
 }
 
 }  // namespace

@@ -457,6 +457,22 @@ void MetricsAccumulator::Reset() {
   reorderable_conflicts_ = 0;
 }
 
+std::vector<KeyFailures> MetricsAccumulator::TopFailureKeys(size_t n) const {
+  const Interner& interner = GlobalKeyInterner();
+  std::vector<KeyFailures> ranked;
+  for (const auto& [id, agg] : key_agg_) {
+    if (agg.fail_freq > 0) {
+      ranked.push_back({interner.KeyForId(id), agg.fail_freq});
+    }
+  }
+  const size_t top = std::min(n, ranked.size());
+  std::partial_sort(ranked.begin(),
+                    ranked.begin() + static_cast<ptrdiff_t>(top), ranked.end(),
+                    RanksBefore);
+  ranked.resize(top);
+  return ranked;
+}
+
 LogMetrics MetricsAccumulator::Snapshot(SnapshotDetail detail) const {
   LogMetrics m;
   if (total_txs_ == 0) return m;
@@ -500,14 +516,9 @@ LogMetrics MetricsAccumulator::Snapshot(SnapshotDetail detail) const {
                                  : 0;
   m.num_activities = activities_.size();
 
-  // A key is hot when its failure frequency clears both the absolute
-  // floor and the fraction-of-all-failures threshold (user-configurable,
-  // paper §4.3 metric 6). Computed before the key maps so kHotKeysOnly
-  // can drop cold keys without materializing their strings at all.
-  const uint64_t hot_threshold = std::max<uint64_t>(
-      options_.hotkey_min_failures,
-      static_cast<uint64_t>(options_.hotkey_failure_fraction *
-                            static_cast<double>(m.failed_txs)));
+  // Computed before the key maps so kHotKeysOnly can drop cold keys
+  // without materializing their strings at all.
+  const uint64_t hot_threshold = HotKeyThreshold(options_, m.failed_txs);
 
   // Sort the key aggregates by key string once, then build the three
   // string-ordered output maps with end-position hints: every insert is
@@ -552,16 +563,7 @@ LogMetrics MetricsAccumulator::Snapshot(SnapshotDetail detail) const {
       m.key_freq.emplace_hint(m.key_freq.end(), std::move(key), agg.fail_freq);
     }
   }
-  for (const auto& [key, freq] : m.key_freq) {
-    if (freq >= hot_threshold) m.hot_keys.push_back(key);
-  }
-  std::sort(m.hot_keys.begin(), m.hot_keys.end(),
-            [&](const std::string& a, const std::string& b) {
-              uint64_t fa = m.key_freq.at(a);
-              uint64_t fb = m.key_freq.at(b);
-              if (fa != fb) return fa > fb;
-              return a < b;
-            });
+  m.hot_keys = HotKeys(m.key_freq, hot_threshold);
 
   m.conflicts.reserve(conflicts_.size());
   for (const ConflictRec& r : conflicts_) {

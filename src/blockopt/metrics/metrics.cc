@@ -115,6 +115,31 @@ void RowFromTransactionInto(const Block& block, const Transaction& tx,
   }
 }
 
+bool RanksBefore(const KeyFailures& a, const KeyFailures& b) {
+  if (a.failures != b.failures) return a.failures > b.failures;
+  return a.key < b.key;
+}
+
+uint64_t HotKeyThreshold(const MetricsOptions& options, uint64_t failed_txs) {
+  return std::max<uint64_t>(
+      options.hotkey_min_failures,
+      static_cast<uint64_t>(options.hotkey_failure_fraction *
+                            static_cast<double>(failed_txs)));
+}
+
+std::vector<std::string> HotKeys(
+    const std::map<std::string, uint64_t>& key_freq, uint64_t threshold) {
+  std::vector<std::string> hot;
+  for (const auto& [key, freq] : key_freq) {
+    if (freq >= threshold) hot.push_back(key);
+  }
+  std::sort(hot.begin(), hot.end(),
+            [&](const std::string& a, const std::string& b) {
+              return RanksBefore({a, key_freq.at(a)}, {b, key_freq.at(b)});
+            });
+  return hot;
+}
+
 LogMetrics ComputeMetrics(const BlockchainLog& log,
                           const MetricsOptions& options) {
   MetricsAccumulator acc(options);
@@ -194,20 +219,7 @@ LogMetrics AggregateMetrics(const std::vector<LogMetrics>& per_channel,
 
   // Re-apply the hot-key rule to merged per-key failure frequencies: a
   // key hot on no individual channel can still be hot experiment-wide.
-  const uint64_t hot_threshold = std::max<uint64_t>(
-      options.hotkey_min_failures,
-      static_cast<uint64_t>(options.hotkey_failure_fraction *
-                            static_cast<double>(m.failed_txs)));
-  for (const auto& [key, freq] : m.key_freq) {
-    if (freq >= hot_threshold) m.hot_keys.push_back(key);
-  }
-  std::sort(m.hot_keys.begin(), m.hot_keys.end(),
-            [&](const std::string& a, const std::string& b) {
-              uint64_t fa = m.key_freq.at(a);
-              uint64_t fb = m.key_freq.at(b);
-              if (fa != fb) return fa > fb;
-              return a < b;
-            });
+  m.hot_keys = HotKeys(m.key_freq, HotKeyThreshold(options, m.failed_txs));
   return m;
 }
 

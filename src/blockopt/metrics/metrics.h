@@ -111,6 +111,26 @@ struct LogMetrics {
   }
 };
 
+/// A key and its Kfreq: the number of failed transactions that accessed it.
+struct KeyFailures {
+  std::string_view key;
+  uint64_t failures = 0;
+};
+
+/// The hot-key order (paper §4.3 metric 6): more failures first, ties by
+/// key string. Never by KeyId, whose values follow first-intern order
+/// (common/interner.h).
+bool RanksBefore(const KeyFailures& a, const KeyFailures& b);
+
+/// The least Kfreq of a hot key: the absolute floor or the fraction of
+/// all failures, whichever is larger (both user-configurable).
+uint64_t HotKeyThreshold(const MetricsOptions& options, uint64_t failed_txs);
+
+/// HK: the keys of `key_freq` whose Kfreq reaches `threshold`, in
+/// RanksBefore order.
+std::vector<std::string> HotKeys(
+    const std::map<std::string, uint64_t>& key_freq, uint64_t threshold);
+
 /// Derives every §4.3 metric from a preprocessed blockchain log.
 LogMetrics ComputeMetrics(const BlockchainLog& log,
                           const MetricsOptions& options = MetricsOptions());
@@ -270,6 +290,9 @@ class MetricsAccumulator {
   uint64_t inter_block_conflicts() const { return inter_block_conflicts_; }
   uint64_t reorderable_conflicts() const { return reorderable_conflicts_; }
   uint64_t delta_candidates() const { return delta_candidates_; }
+  /// The `n` keys with the highest exact Kfreq so far, in RanksBefore
+  /// order; keys no failed transaction accessed are left out.
+  std::vector<KeyFailures> TopFailureKeys(size_t n) const;
   /// Failures whose cause (if any) precedes this accumulator's first row
   /// — resolvable only by merging onto a left pane.
   size_t unresolved_prefix_size() const { return pending_.size(); }

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "common/interner.h"
 #include "telemetry/export.h"
 
 namespace blockoptr {
@@ -39,6 +38,9 @@ JsonValue RecommendationJson(const Recommendation& rec) {
   return JsonValue(std::move(o));
 }
 
+/// Keys listed in the hot_keys export: the top of the exact Kfreq ranking.
+constexpr size_t kExportedHotKeys = 32;
+
 std::string FmtDouble(const char* format, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), format, v);
@@ -56,7 +58,6 @@ JsonValue StreamStateJson(const StreamEngine& engine) {
   config["apply"] = opts.apply;
   config["ring_capacity"] = static_cast<uint64_t>(opts.ring_capacity);
   config["pane_rows"] = static_cast<uint64_t>(opts.pane_rows);
-  config["topk_capacity"] = static_cast<uint64_t>(opts.topk_capacity);
   config["conflict_window"] = static_cast<uint64_t>(opts.conflict_window);
   config["series_capacity"] = static_cast<uint64_t>(opts.series_capacity);
   config["max_events"] = static_cast<uint64_t>(opts.max_events);
@@ -115,13 +116,12 @@ JsonValue StreamStateJson(const StreamEngine& engine) {
   root["events"] = std::move(events);
   root["events_dropped"] = engine.recommender().events_dropped();
 
-  const Interner& interner = GlobalKeyInterner();
   JsonValue::Array hot;
-  for (const SpaceSavingTopK::Counter& c : engine.hot_keys().Entries()) {
+  for (const KeyFailures& k :
+       engine.cumulative().TopFailureKeys(kExportedHotKeys)) {
     JsonValue::Object h;
-    h["key"] = std::string(interner.KeyForId(c.id));
-    h["count"] = c.count;
-    h["error"] = c.error;
+    h["key"] = std::string(k.key);
+    h["count"] = k.failures;
     hot.emplace_back(std::move(h));
   }
   root["hot_keys"] = std::move(hot);
@@ -195,17 +195,16 @@ void AppendStreamPrometheus(const StreamEngine& engine, std::ostream& out) {
     }
   }
 
-  // Hot-key sketch: one labelled gauge per counter (keys are workload
-  // strings — escaping is load-bearing here).
+  // The keys with the most failed transactions: one labelled gauge per
+  // key (keys are workload strings — escaping is load-bearing here).
   {
     const std::string name = "stream.hot_key_failures";
     const std::string p = PrometheusMetricName(name);
     out << "# HELP " << p << ' ' << name << "\n# TYPE " << p << " gauge\n";
-    const Interner& interner = GlobalKeyInterner();
-    for (const SpaceSavingTopK::Counter& c : engine.hot_keys().Entries()) {
-      out << p << "{key=\""
-          << PrometheusEscapeLabel(std::string(interner.KeyForId(c.id)))
-          << "\"} " << c.count << '\n';
+    for (const KeyFailures& k :
+         engine.cumulative().TopFailureKeys(kExportedHotKeys)) {
+      out << p << "{key=\"" << PrometheusEscapeLabel(std::string(k.key))
+          << "\"} " << k.failures << '\n';
     }
   }
 }

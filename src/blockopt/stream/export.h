@@ -11,7 +11,8 @@ namespace blockoptr {
 
 /// The engine's full machine-readable state: configuration, cumulative
 /// counters, windowed series, active recommendations, the bounded event
-/// log, hot-key sketch, conflict-window stats, and the applied
+/// log, the 32 keys with the highest exact Kfreq (failures descending,
+/// then key string), conflict-window stats, and the applied
 /// recommendation (if any). This becomes the "stream" section of
 /// --metrics-out. Byte-deterministic for a given committed block
 /// sequence.
@@ -20,7 +21,7 @@ JsonValue StreamStateJson(const StreamEngine& engine);
 /// Appends the stream families to a Prometheus text exposition:
 /// counters/gauges for the engine state, one gauge per series last
 /// value, per-recommendation-type active gauges (labelled), and the
-/// hot-key sketch (key label, escaped).
+/// failures of the same 32 keys as StreamStateJson (key label, escaped).
 void AppendStreamPrometheus(const StreamEngine& engine, std::ostream& out);
 
 /// The "Streaming analysis" HTML report section (h2 blocks: summary,

@@ -14,7 +14,6 @@ StreamEngine::StreamEngine(const StreamOptions& options)
       cumulative_(options.recommender.metrics),
       recommender_(options.recommender, options.max_events),
       graph_(options.conflict_window),
-      topk_(options.topk_capacity),
       open_{MetricsAccumulator(options.recommender.metrics), {}},
       window_scratch_(options.recommender.metrics),
       commit_tps_("stream.commit_tps", options.series_capacity),
@@ -118,10 +117,6 @@ void StreamEngine::OnBlockCommit(const Block& block) {
     open_.end_ts = row.commit_timestamp;
     ++open_.rows;
     open_.acc.OnRow(row);
-
-    if (row.failed()) {
-      for (KeyId id : row.accessed_ids) topk_.Offer(id);
-    }
     graph_.AddNode(row.read_ids, row.write_ids);
   }
 

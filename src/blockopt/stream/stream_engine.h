@@ -10,15 +10,15 @@
 #include "blockopt/recommend/recommender.h"
 #include "blockopt/stream/conflict_window.h"
 #include "blockopt/stream/online_recommender.h"
-#include "blockopt/stream/topk.h"
 #include "ledger/block.h"
 #include "telemetry/timeseries.h"
 
 namespace blockoptr {
 
-/// Configuration for the streaming analysis engine. Every buffer is
-/// capacity-bounded, so engine memory is O(panes + top-K + series +
-/// events) regardless of run length.
+/// Configuration for the streaming analysis engine. The window machinery
+/// is capacity-bounded: retained panes, the conflict window, each series
+/// and the event log. The cumulative accumulator is not (see
+/// StreamEngine).
 struct StreamOptions {
   bool enabled = false;
   /// Sliding evidence window (simulated seconds) for the online
@@ -39,8 +39,6 @@ struct StreamOptions {
   /// every evaluation boundary, so this only caps intra-window
   /// granularity. Clamped to ring_capacity.
   size_t pane_rows = 1024;
-  /// Space-saving counters for the hot-key sketch.
-  size_t topk_capacity = 32;
   /// Max transactions in the incremental conflict graph window. Per-key
   /// posting lists (and so per-commit scan cost) grow with this, which
   /// is why the default stays at a few blocks' worth.
@@ -57,11 +55,11 @@ struct StreamOptions {
 /// commit path feeds every committed block in; the engine incrementally
 /// derives log rows (same semantics as ExtractBlockchainLog: config
 /// transactions occupy a block position but never a commit order),
-/// folds them into the open MetricsPane, a hot-key space-saving sketch,
-/// and a windowed conflict graph, and periodically re-runs the nine
-/// recommendation rules over the sliding window — emitting events when
-/// advice appears, changes, or withdraws, and optionally applying the
-/// top recommendation through a driver-supplied hook.
+/// folds them into the open pane and a windowed conflict graph, and
+/// periodically re-runs the nine recommendation rules over the sliding
+/// window — emitting events when advice appears, changes, or withdraws,
+/// and optionally applying the top recommendation through a
+/// driver-supplied hook.
 ///
 /// Each row is folded into exactly one accumulator: the open pane. Panes
 /// seal at block boundaries once they reach their row target; a window
@@ -78,10 +76,14 @@ struct StreamOptions {
 /// between blocks, and all transactions of a block share one commit
 /// timestamp, so panes are pure in window time.
 ///
-/// The engine is passive and allocation-bounded: it schedules no
-/// simulator events and its state depends only on the committed block
-/// sequence, so streaming exports inherit the sweep-determinism
-/// contract.
+/// The engine is passive: it schedules no simulator events and its state
+/// depends only on the committed block sequence, so streaming exports
+/// inherit the sweep-determinism contract.
+///
+/// Memory: retained panes (ring_capacity rows), the conflict window, the
+/// series and the event log are bounded by their options. The cumulative
+/// accumulator is not: like the batch pass, it keeps per-key state for
+/// every key and one record per detected conflict for the whole run.
 class StreamEngine {
  public:
   explicit StreamEngine(const StreamOptions& options);
@@ -111,7 +113,6 @@ class StreamEngine {
   LogMetrics CumulativeSnapshot() const { return cumulative_.Snapshot(); }
   const OnlineRecommender& recommender() const { return recommender_; }
   const WindowedConflictGraph& conflict_graph() const { return graph_; }
-  const SpaceSavingTopK& hot_keys() const { return topk_; }
 
   uint64_t blocks_seen() const { return blocks_seen_; }
   uint64_t entries_seen() const { return entries_seen_; }
@@ -186,7 +187,6 @@ class StreamEngine {
   MetricsAccumulator cumulative_;
   OnlineRecommender recommender_;
   WindowedConflictGraph graph_;
-  SpaceSavingTopK topk_;
   Pane open_;
   std::deque<Pane> sealed_;
   /// Reused per-evaluation window fold (Reset between evaluations), so

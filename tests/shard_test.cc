@@ -10,7 +10,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "blockopt/log/export.h"
 #include "blockopt/log/preprocess.h"
 #include "blockopt/metrics/metrics.h"
-#include "blockopt/stream/topk.h"
 #include "driver/channel_run.h"
 #include "driver/experiment.h"
 #include "driver/faults.h"
@@ -26,6 +24,7 @@
 #include "driver/sharded.h"
 #include "sim/shard_runner.h"
 #include "sim/simulator.h"
+#include "stream_hot_keys.h"
 #include "telemetry/export.h"
 #include "workload/synthetic.h"
 
@@ -434,50 +433,28 @@ TEST(ShardedExperimentTest, FaultsAndStreamingAnalysisWorkPerChannel) {
   EXPECT_EQ(ReportKey(out->report), ReportKey(threaded->report));
 }
 
-TEST(ShardedExperimentTest, CrossChannelHotKeySketchesMergeToExactSums) {
-  // Contended workload small enough that every per-channel sketch stays
-  // under capacity (accessed keys < topk_capacity): the sketches are
-  // exact,
-  // so the cross-channel merge must be the exact per-id sum with zero
-  // error — the invariant the CLI's aggregated hot-key view relies on.
-  SyntheticConfig wl;
-  wl.num_txs = 1500;
-  wl.send_rate = 400;
-  wl.key_skew = 2.0;  // Zipf contention: MVCC failures feed the sketch
-  wl.keyspace = 24;
-  ExperimentConfig cfg =
-      MakeSyntheticExperiment(wl, NetworkConfig::Defaults());
-  cfg.channels = 2;
-  cfg.sim_threads = 2;
-  cfg.enable_telemetry = true;
-  cfg.stream.enabled = true;
-  cfg.stream.window_s = 2.0;
-  cfg.stream.topk_capacity = 128;  // > distinct accessed keys
-  auto out = RunExperiment(cfg);
-  ASSERT_TRUE(out.ok()) << out.status();
-  ASSERT_EQ(out->channels.size(), 2u);
-
-  std::map<KeyId, uint64_t> expected;
-  for (const auto& ch : out->channels) {
-    ASSERT_NE(ch.stream, nullptr);
-    for (const auto& c : ch.stream->hot_keys().Entries()) {
-      EXPECT_EQ(c.error, 0u);  // under capacity: exact counts
-      expected[c.id] += c.count;
+// Each channel's hot-key exports list that channel's exact Kfreq ranking,
+// and every stream export is byte-identical for 1 and 4 threads.
+TEST(ShardedExperimentTest, StreamHotKeysAreExactPerChannelAtEveryThreadCount) {
+  std::vector<std::string> dumps;
+  for (const int threads : {1, 4}) {
+    ExperimentConfig cfg = ShardedExperiment(6000, 300, 4, threads);
+    cfg.stream.enabled = true;
+    auto out = RunExperiment(cfg);
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_EQ(out->channels.size(), 4u);
+    std::string dump;
+    for (size_t c = 0; c < out->channels.size(); ++c) {
+      SCOPED_TRACE("sim_threads " + std::to_string(threads) + ", channel " +
+                   std::to_string(c));
+      const ExperimentOutput& ch = out->channels[c];
+      ASSERT_NE(ch.stream, nullptr);
+      ExpectHotKeyExportsMatchBatch(*ch.stream, ch.ledger);
+      dump += StreamStateJson(*ch.stream).Dump() + '\n';
     }
+    dumps.push_back(std::move(dump));
   }
-  ASSERT_FALSE(expected.empty())
-      << "workload produced no failure-involved keys";
-
-  SpaceSavingTopK merged(out->channels[0].stream->hot_keys().capacity());
-  for (const auto& ch : out->channels) merged.Merge(ch.stream->hot_keys());
-  const auto entries = merged.Entries();
-  ASSERT_EQ(entries.size(), expected.size());
-  for (const auto& c : entries) {
-    auto it = expected.find(c.id);
-    ASSERT_NE(it, expected.end());
-    EXPECT_EQ(c.count, it->second);
-    EXPECT_EQ(c.error, 0u);
-  }
+  EXPECT_EQ(dumps[0], dumps[1]);
 }
 
 TEST(ShardedExperimentTest, ChannelWeightsSkewPerChannelLoad) {

@@ -10,9 +10,13 @@
 //   - --stream-apply changes the regime mid-run through a real config
 //     update transaction, visible in the ledger and the stream series.
 //   - Every stream buffer stays within its configured bound.
+//   - The hot_keys export lists the exact top of the batch Kfreq ranking,
+//     ordered by failures, then key string — never by interner id.
 //   - Stream export JSON is byte-identical between a serial loop and the
-//     parallel sweep engine (the sweep-determinism contract extends to
-//     streaming state).
+//     parallel sweep engine. Both run in one process and so share one
+//     interner id assignment: that test cannot see an export that depends
+//     on id order. The CI smoke steps compare exports written by separate
+//     processes, which can.
 #include "blockopt/stream/stream_engine.h"
 
 #include <gtest/gtest.h>
@@ -27,12 +31,11 @@
 #include "blockopt/stream/conflict_window.h"
 #include "blockopt/stream/export.h"
 #include "blockopt/stream/online_recommender.h"
-#include "blockopt/stream/topk.h"
-#include "common/interner.h"
 #include "driver/presets.h"
 #include "driver/sweep.h"
 #include "ledger/rwset.h"
 #include "reorder/conflict_graph.h"
+#include "stream_hot_keys.h"
 #include "workload/synthetic.h"
 
 namespace blockoptr {
@@ -251,127 +254,6 @@ TEST(WindowedConflictGraphTest, EvictionMatchesBatchOverWindowSuffix) {
 }
 
 // ---------------------------------------------------------------------------
-// Space-saving sketch
-// ---------------------------------------------------------------------------
-
-TEST(SpaceSavingTopKTest, ExactWhenUnderCapacity) {
-  SpaceSavingTopK sketch(8);
-  for (int i = 0; i < 4; ++i) {
-    for (int n = 0; n <= i; ++n) sketch.Offer(static_cast<KeyId>(100 + i));
-  }
-  auto entries = sketch.Entries();
-  ASSERT_EQ(entries.size(), 4u);
-  // Sorted by count desc then id asc; zero error below capacity.
-  EXPECT_EQ(entries[0].id, 103u);
-  EXPECT_EQ(entries[0].count, 4u);
-  EXPECT_EQ(entries[3].id, 100u);
-  EXPECT_EQ(entries[3].count, 1u);
-  for (const auto& e : entries) EXPECT_EQ(e.error, 0u);
-  EXPECT_EQ(sketch.total_offered(), 10u);
-}
-
-TEST(SpaceSavingTopKTest, BoundedAndKeepsHeavyHitters) {
-  SpaceSavingTopK sketch(4);
-  // Two heavy ids among a stream of one-off ids.
-  for (int round = 0; round < 50; ++round) {
-    sketch.Offer(1);
-    sketch.Offer(2);
-    sketch.Offer(static_cast<KeyId>(1000 + round));
-  }
-  EXPECT_EQ(sketch.size(), 4u);
-  auto entries = sketch.Entries();
-  EXPECT_EQ(entries[0].id, 1u);
-  EXPECT_EQ(entries[1].id, 2u);
-  // Space-saving guarantee: true count within [count - error, count].
-  EXPECT_GE(entries[0].count, 50u);
-  EXPECT_GE(entries[1].count, 50u);
-  EXPECT_LE(entries[0].count - entries[0].error, 50u);
-}
-
-TEST(SpaceSavingTopKTest, MergeIsExactUnderCapacity) {
-  // Two under-capacity sketches: the merge is an exact summed union with
-  // zero error, regardless of merge direction.
-  SpaceSavingTopK a(16), b(16);
-  for (int i = 0; i < 5; ++i) a.Offer(1);
-  for (int i = 0; i < 3; ++i) a.Offer(2);
-  for (int i = 0; i < 4; ++i) b.Offer(2);
-  for (int i = 0; i < 2; ++i) b.Offer(3);
-  a.Merge(b);
-  auto entries = a.Entries();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].id, 2u);
-  EXPECT_EQ(entries[0].count, 7u);
-  EXPECT_EQ(entries[1].id, 1u);
-  EXPECT_EQ(entries[1].count, 5u);
-  EXPECT_EQ(entries[2].id, 3u);
-  EXPECT_EQ(entries[2].count, 2u);
-  for (const auto& e : entries) EXPECT_EQ(e.error, 0u);
-  EXPECT_EQ(a.total_offered(), 14u);
-}
-
-TEST(SpaceSavingTopKTest, MergeKeepsHeavyHittersWithinErrorBound) {
-  // Shard a heavy-hitter stream across two sketches; the merged sketch
-  // must keep the heavy ids and its error bounds must still bracket the
-  // true counts.
-  SpaceSavingTopK a(4), b(4);
-  for (int round = 0; round < 40; ++round) {
-    a.Offer(1);
-    a.Offer(static_cast<KeyId>(1000 + round));
-    b.Offer(1);
-    b.Offer(2);
-    b.Offer(static_cast<KeyId>(2000 + round));
-  }
-  a.Merge(b);
-  EXPECT_LE(a.size(), 4u);
-  auto entries = a.Entries();
-  ASSERT_GE(entries.size(), 2u);
-  EXPECT_EQ(entries[0].id, 1u);  // true count 80, the heaviest
-  // Overestimate invariant: true count within [count - error, count].
-  EXPECT_GE(entries[0].count, 80u);
-  EXPECT_LE(entries[0].count - entries[0].error, 80u);
-  bool found2 = false;
-  for (const auto& e : entries) {
-    if (e.id == 2u) {
-      found2 = true;
-      EXPECT_GE(e.count, 40u);
-      EXPECT_LE(e.count - e.error, 40u);
-    }
-  }
-  EXPECT_TRUE(found2);
-}
-
-TEST(SpaceSavingTopKTest, MergeWithEmptyIsIdentity) {
-  SpaceSavingTopK a(4), empty(4);
-  for (KeyId id : {7u, 7u, 9u}) a.Offer(id);
-  auto before = a.Entries();
-  a.Merge(empty);
-  auto after_right = a.Entries();
-  ASSERT_EQ(before.size(), after_right.size());
-  for (size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i].id, after_right[i].id);
-    EXPECT_EQ(before[i].count, after_right[i].count);
-  }
-  empty.Merge(a);
-  auto after_left = empty.Entries();
-  ASSERT_EQ(before.size(), after_left.size());
-  for (size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i].id, after_left[i].id);
-    EXPECT_EQ(before[i].count, after_left[i].count);
-  }
-}
-
-TEST(SpaceSavingTopKTest, DeterministicEviction) {
-  auto run = [] {
-    SpaceSavingTopK sketch(3);
-    for (KeyId id : {5u, 9u, 2u, 7u, 2u, 5u, 11u, 3u, 2u}) sketch.Offer(id);
-    std::vector<KeyId> ids;
-    for (const auto& e : sketch.Entries()) ids.push_back(e.id);
-    return ids;
-  };
-  EXPECT_EQ(run(), run());
-}
-
-// ---------------------------------------------------------------------------
 // Online recommender event stream
 // ---------------------------------------------------------------------------
 
@@ -519,7 +401,6 @@ TEST(StreamEngineTest, AllBuffersStayWithinConfiguredBounds) {
                           0.5);
   cfg.stream.ring_capacity = 64;
   cfg.stream.pane_rows = 16;
-  cfg.stream.topk_capacity = 8;
   cfg.stream.conflict_window = 32;
   cfg.stream.max_events = 4;
   cfg.stream.series_capacity = 16;
@@ -534,7 +415,6 @@ TEST(StreamEngineTest, AllBuffersStayWithinConfiguredBounds) {
   // 2000 txs through a 64-row evidence budget at this rate must have
   // folded still-in-window panes into the cumulative view early.
   EXPECT_GT(stream.ring_overflow(), 0u);
-  EXPECT_LE(stream.hot_keys().size(), 8u);
   EXPECT_LE(stream.conflict_graph().size(), 32u);
   EXPECT_LE(stream.recommender().events().size(), 4u);
   for (const TimeSeries* series : stream.AllSeries()) {
@@ -555,9 +435,28 @@ TEST(StreamEngineTest, FinalizeIsIdempotent) {
 }
 
 // ---------------------------------------------------------------------------
+// Hot-key exports: the exact Kfreq ranking
+// ---------------------------------------------------------------------------
+
+TEST(StreamExportTest, HotKeysAreTheBatchTopKfreq) {
+  for (auto type :
+       {SyntheticWorkloadType::kUniform, SyntheticWorkloadType::kUpdateHeavy}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    auto out = RunExperiment(StreamingExperiment(type, 3000, 300, 2.0));
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_NE(out->stream, nullptr);
+    ExpectHotKeyExportsMatchBatch(*out->stream, out->ledger);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Sweep determinism extends to stream exports
 // ---------------------------------------------------------------------------
 
+// The serial pass runs first, in this process, so the parallel pass
+// reuses its interner ids: this cannot catch an export that depends on id
+// order (the hot-key sketch did, and this passed). The CI determinism
+// steps compare exports of separate processes for that.
 TEST(StreamSweepTest, ExportsIdenticalSerialVsParallel) {
   std::vector<ExperimentConfig> configs;
   for (auto type : {SyntheticWorkloadType::kUniform,

@@ -545,38 +545,11 @@ Analysis Analyze(ExperimentOutput& out, bool autotune) {
   return a;
 }
 
-/// Cross-channel hot-key aggregation: the per-channel space-saving
-/// sketches merge into one experiment-level view (summed counts, union
-/// error bounds), so a key hammered from several channels at once
-/// surfaces even when no single channel ranks it first.
-void PrintCrossChannelHotKeys(const Analysis& a) {
-  std::optional<SpaceSavingTopK> merged;
-  for (const ExperimentOutput* ch : a.channels) {
-    if (!ch->stream) continue;
-    if (!merged) merged.emplace(ch->stream->hot_keys().capacity());
-    merged->Merge(ch->stream->hot_keys());
-  }
-  if (!merged) return;
-  const auto entries = merged->Entries();
-  if (entries.empty()) return;
-  std::printf("cross-channel hot keys (failure-involved, merged sketch):\n");
-  const Interner& interner = GlobalKeyInterner();
-  size_t shown = 0;
-  for (const SpaceSavingTopK::Counter& c : entries) {
-    std::printf("  %-24s count<=%llu (error bound %llu)\n",
-                std::string(interner.KeyForId(c.id)).c_str(),
-                static_cast<unsigned long long>(c.count),
-                static_cast<unsigned long long>(c.error));
-    if (++shown == 8) break;
-  }
-  std::printf("\n");
-}
-
 /// `run`'s summary ahead of the recommendation report. One channel: the
 /// report, faults, critical-path and bottleneck tables. Several: the
 /// merged report, per-channel breakdown and tails, faults, per-channel
-/// bottleneck verdicts naming the hottest channel, and the cross-channel
-/// hot keys. Either way, each channel's streaming summary.
+/// bottleneck verdicts naming the hottest channel. Either way, each
+/// channel's streaming summary.
 void PrintRunSummary(const ExperimentOutput& out, const Analysis& a,
                      int sim_threads) {
   const size_t n = a.channels.size();
@@ -639,7 +612,6 @@ void PrintRunSummary(const ExperimentOutput& out, const Analysis& a,
     if (n > 1) std::printf("channel %zu ", c);
     PrintStreamSummary(*a.channels[c]->stream);
   }
-  if (n > 1) PrintCrossChannelHotKeys(a);
 }
 
 /// Where one run output's exports go and how they are labelled.

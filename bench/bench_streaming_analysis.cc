@@ -25,7 +25,7 @@
 // entirely the live-only work the batch pipeline never does — the
 // per-window rule evaluations (now pane merges plus one straddling
 // pane's row suffix, with the window Snapshot() the dominant term) and
-// the incremental conflict window and hot-key sketch.
+// the incremental conflict window.
 // main() prints an explicit interleaved A/B so the ratio is robust
 // against frequency-scaling drift, and `--json-out=PATH` dumps the
 // suite as BENCH_streaming.json (schema blockoptr-bench-v1) for CI.

@@ -62,7 +62,7 @@ Interner& GlobalKeyInterner();
 
 /// The process-wide interner for non-key names — activities, invoker
 /// clients, and organizations. Kept separate from the key table so
-/// key-space resolution (top-K, key metrics) never sees name ids and
+/// key-space resolution (key metrics) never sees name ids and
 /// vice versa.
 Interner& GlobalNameInterner();
 

@@ -392,7 +392,7 @@ TEST(StreamApplyTest, ObserveOnlyNeverApplies) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded memory
+// Bounded window state
 // ---------------------------------------------------------------------------
 
 TEST(StreamEngineTest, AllBuffersStayWithinConfiguredBounds) {
@@ -455,8 +455,8 @@ TEST(StreamExportTest, HotKeysAreTheBatchTopKfreq) {
 
 // The serial pass runs first, in this process, so the parallel pass
 // reuses its interner ids: this cannot catch an export that depends on id
-// order (the hot-key sketch did, and this passed). The CI determinism
-// steps compare exports of separate processes for that.
+// order. The CI determinism steps compare exports of separate processes
+// for that.
 TEST(StreamSweepTest, ExportsIdenticalSerialVsParallel) {
   std::vector<ExperimentConfig> configs;
   for (auto type : {SyntheticWorkloadType::kUniform,

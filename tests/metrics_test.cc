@@ -201,9 +201,28 @@ TEST(MetricsTest, HotkeyThresholds) {
   MetricsOptions options;
   options.hotkey_min_failures = 30;
   options.hotkey_failure_fraction = 0.15;
-  auto m = ComputeMetrics(BlockchainLog(std::move(entries)), options);
+  const BlockchainLog log(std::move(entries));
+  auto m = ComputeMetrics(log, options);
   ASSERT_EQ(m.hot_keys.size(), 1u);
   EXPECT_EQ(m.hot_keys[0], "hot");
+
+  // The rule's edges, shared by every caller: the larger of the floor and
+  // the failure fraction, inclusive, ranked by failures, then key string.
+  MetricsOptions strict = options;
+  strict.hotkey_failure_fraction = 0.95;  // 52 of the 55 failures
+  EXPECT_TRUE(ComputeMetrics(log, strict).hot_keys.empty());
+  EXPECT_EQ(HotKeyThreshold(options, 100), 30u);
+  EXPECT_EQ(HotKeyThreshold(options, 1000), 150u);
+  EXPECT_EQ(HotKeys({{"a", 30}, {"b", 29}, {"c", 45}, {"d", 30}}, 30),
+            (std::vector<std::string>{"c", "a", "d"}));
+  // AggregateMetrics re-applies it to the summed counts: 800 failures
+  // make the threshold 120, above the floor.
+  LogMetrics left, right;
+  left.failed_txs = right.failed_txs = 400;
+  left.key_freq = {{"x", 100}, {"y", 50}};
+  right.key_freq = {{"x", 30}, {"y", 50}};
+  EXPECT_EQ(AggregateMetrics({left, right}, options).hot_keys,
+            std::vector<std::string>{"x"});
 }
 
 TEST(MetricsTest, KeyAccessorStatsDistinguishReadersFromWriters) {

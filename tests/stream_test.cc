@@ -439,10 +439,23 @@ TEST(StreamEngineTest, FinalizeIsIdempotent) {
 // ---------------------------------------------------------------------------
 
 TEST(StreamExportTest, HotKeysAreTheBatchTopKfreq) {
+  std::vector<ExperimentConfig> configs;
   for (auto type :
        {SyntheticWorkloadType::kUniform, SyntheticWorkloadType::kUpdateHeavy}) {
-    SCOPED_TRACE(static_cast<int>(type));
-    auto out = RunExperiment(StreamingExperiment(type, 3000, 300, 2.0));
+    configs.push_back(StreamingExperiment(type, 3000, 300, 2.0));
+  }
+  // A 12-key space: fewer failing keys than the export lists, and keys
+  // that no failed transaction accessed, which must stay out.
+  SyntheticConfig few_keys =
+      Workload(SyntheticWorkloadType::kUpdateHeavy, 200, 300);
+  few_keys.keyspace = 12;
+  configs.push_back(
+      MakeSyntheticExperiment(few_keys, NetworkConfig::Defaults()));
+  configs.back().stream.enabled = true;
+
+  for (size_t i = 0; i < configs.size(); ++i) {
+    SCOPED_TRACE("config " + std::to_string(i));
+    auto out = RunExperiment(configs[i]);
     ASSERT_TRUE(out.ok()) << out.status();
     ASSERT_NE(out->stream, nullptr);
     ExpectHotKeyExportsMatchBatch(*out->stream, out->ledger);

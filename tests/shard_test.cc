@@ -434,7 +434,9 @@ TEST(ShardedExperimentTest, FaultsAndStreamingAnalysisWorkPerChannel) {
 }
 
 // Each channel's hot-key exports list that channel's exact Kfreq ranking,
-// and every stream export is byte-identical for 1 and 4 threads.
+// and every stream export is byte-identical for 1 and 4 threads. Both runs
+// share this process's interner ids, so the ranking check, not the byte
+// equality, is what rules out an export ordered by id.
 TEST(ShardedExperimentTest, StreamHotKeysAreExactPerChannelAtEveryThreadCount) {
   std::vector<std::string> dumps;
   for (const int threads : {1, 4}) {

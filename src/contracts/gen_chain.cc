@@ -35,7 +35,10 @@ Status GenChainContract::Invoke(TxContext& ctx, const std::string& function,
     BLOCKOPTR_RETURN_NOT_OK(need(2));
     auto current = ctx.GetState(args[0]);
     std::string next = args[1];
-    if (current && !current->empty()) next += "." + current->substr(0, 8);
+    if (current && !current->empty()) {
+      next += '.';
+      next.append(*current, 0, 8);
+    }
     ctx.PutState(args[0], next);
     return Status::OK();
   }

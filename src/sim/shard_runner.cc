@@ -1,6 +1,7 @@
 #include "sim/shard_runner.h"
 
-#include <barrier>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <exception>
@@ -86,6 +87,80 @@ void EpochBoundary(const std::vector<Shard*>& shards,
   state.epoch_end = static_cast<double>(state.epoch_index) * options.epoch_s;
 }
 
+/// Epoch barrier of the threaded path. The last worker to arrive runs the
+/// completion while every other worker is parked. Arrivals are acq_rel
+/// RMWs, so the completion sees every worker's writes of the epoch; a
+/// (seq_cst, hence release) store of `phase_` then publishes the
+/// completion's writes to waiters, which load it with acquire. A waiter
+/// polls `phase_` with a few `pause`s, then yields the CPU for up to
+/// kYieldBudget, then sleeps on the futex. An epoch is tens of µs of work
+/// per worker; with a barrier that sleeps at once (std::barrier in
+/// libstdc++ 12: 16 spins, then the futex) 4 channels at 100k txs ran
+/// slower on 2 threads than inline, 0.93 s against 0.88 s. Yielding
+/// rather than spinning lets workers that share a CPU hand it over.
+class EpochBarrier {
+ public:
+  explicit EpochBarrier(uint32_t workers) : workers_(workers) {}
+  EpochBarrier(const EpochBarrier&) = delete;
+  EpochBarrier& operator=(const EpochBarrier&) = delete;
+
+  template <typename Completion>
+  void ArriveAndWait(Completion& completion) {
+    // Only the last arrival of this phase can change phase_, so this read
+    // is the current phase.
+    const uint32_t phase = phase_.load(std::memory_order_relaxed);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 < workers_) {
+      Wait(phase);
+      return;
+    }
+    // No worker arrives again before it sees the new phase.
+    arrived_.store(0, std::memory_order_relaxed);
+    completion();
+    // seq_cst, not just release: notify_all skips the futex wake when
+    // its load of libstdc++'s waiter count reads 0, and that load must
+    // not pass this store, or a waiter that has just registered could
+    // sleep on the old phase.
+    phase_.store(phase + 1, std::memory_order_seq_cst);
+    phase_.notify_all();
+  }
+
+ private:
+  // Waits measured on 25k-tx 4-channel runs with 2 workers (4,435 per
+  // run): median 7-11 µs, 90th percentile 20-35 µs, 99th 48-134 µs. The
+  // budget lets ~99% of waits end without a futex sleep; budgets of 20 to
+  // 200 µs ran equally fast, and 0 (straight to the futex) as slow as
+  // std::barrier. A pause is ~20 ns and a yield ~0.35 µs.
+  static constexpr int kPauses = 16;
+  static constexpr std::chrono::microseconds kYieldBudget{100};
+
+  bool Passed(uint32_t phase) const {
+    return phase_.load(std::memory_order_acquire) != phase;
+  }
+
+  void Wait(uint32_t phase) const {
+    for (int i = 0; i < kPauses; ++i) {
+      if (Passed(phase)) return;
+      CpuRelax();
+    }
+    const auto deadline = std::chrono::steady_clock::now() + kYieldBudget;
+    do {
+      if (Passed(phase)) return;
+      std::this_thread::yield();
+    } while (std::chrono::steady_clock::now() < deadline);
+    phase_.wait(phase, std::memory_order_acquire);
+  }
+
+  static void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+
+  const uint32_t workers_;
+  alignas(64) std::atomic<uint32_t> arrived_{0};
+  alignas(64) std::atomic<uint32_t> phase_{0};
+};
+
 void AdvanceOwned(const std::vector<Shard*>& shards, LockstepState& state,
                   size_t worker, size_t stride) {
   for (size_t i = worker; i < shards.size(); i += stride) {
@@ -142,13 +217,14 @@ Status RunShards(const std::vector<Shard*>& shards,
   // The completion function runs the epoch boundary on exactly one thread
   // while every other worker is parked inside the barrier, which makes the
   // sync hook a true serial section.
-  std::barrier barrier(static_cast<std::ptrdiff_t>(workers), [&]() noexcept {
+  EpochBarrier barrier(static_cast<uint32_t>(workers));
+  auto boundary = [&]() noexcept {
     EpochBoundary(shards, options, state, sync);
-  });
+  };
   auto worker_loop = [&](size_t w) {
     for (;;) {
       AdvanceOwned(shards, state, w, workers);
-      barrier.arrive_and_wait();
+      barrier.ArriveAndWait(boundary);
       if (state.stop) return;
     }
   };

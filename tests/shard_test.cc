@@ -1,12 +1,14 @@
 // Multi-channel sharding tests: the epoch-lockstep shard runner's
-// determinism and error semantics, deterministic schedule partitioning and
-// per-channel seeding, field-for-field identical exports for every
-// --sim-threads value, the single-channel golden guard (no epoch machinery,
-// no channel labels), fault+stream integration on a sharded run, and
-// whole-experiment aggregation (report merge + LogMetrics aggregation).
+// determinism, epoch barrier and error semantics, deterministic schedule
+// partitioning and per-channel seeding, field-for-field identical exports
+// for every --sim-threads value, the single-channel golden guard (no epoch
+// machinery, no channel labels), fault+stream integration on a sharded
+// run, and whole-experiment aggregation (report merge + LogMetrics
+// aggregation).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -81,6 +83,31 @@ class CountingShard : public Shard {
   std::vector<double> trace_;
 };
 
+// CountingShard with busy work that varies per shard and epoch, so the
+// workers' arrival order at the barrier keeps changing, and a count of
+// the shards inside AdvanceUntil, shared by all of them.
+class BarrierStressShard : public CountingShard {
+ public:
+  BarrierStressShard(int total, int index, std::atomic<int>* in_flight)
+      : CountingShard(total), index_(index), in_flight_(in_flight) {}
+
+  Status AdvanceUntil(SimTime epoch_end) override {
+    in_flight_->fetch_add(1);
+    const int spins = 400 * (1 + (done_count() + index_) % 4);
+    for (int k = 0; k < spins; ++k) {
+      work_ = work_ * 6364136223846793005ull + 1;
+    }
+    Status st = CountingShard::AdvanceUntil(epoch_end);
+    in_flight_->fetch_sub(1);
+    return st;
+  }
+
+ private:
+  int index_;
+  std::atomic<int>* in_flight_;
+  uint64_t work_ = 0;
+};
+
 class FailingShard : public Shard {
  public:
   explicit FailingShard(std::string message) : message_(std::move(message)) {}
@@ -133,6 +160,46 @@ TEST(ShardRunnerTest, EpochBoundarySequenceIsIdenticalSerialAndThreaded) {
   auto threaded = run(8);
   EXPECT_EQ(serial.first, threaded.first);
   EXPECT_EQ(serial.second, threaded.second);
+}
+
+// Over 10,000 epochs at 2, 4 and 8 threads (8 clamps to one worker per
+// shard), the sync hook must never overlap an AdvanceUntil (it would if
+// the completion ran before the last arrival, or a waiter left the
+// barrier early), and the boundaries and traces must equal the inline
+// run's.
+TEST(ShardRunnerTest, BarrierKeepsTheSyncHookSerialOverManyEpochs) {
+  struct Run {
+    std::vector<double> boundaries;
+    std::vector<std::vector<double>> traces;
+  };
+  auto run = [](int threads) {
+    std::atomic<int> in_flight{0};
+    std::vector<BarrierStressShard> shards;
+    shards.reserve(4);
+    for (int i = 0; i < 4; ++i) {
+      shards.emplace_back(10000 + 100 * i, i, &in_flight);
+    }
+    std::vector<Shard*> ptrs;
+    for (auto& s : shards) ptrs.push_back(&s);
+    ShardRunnerOptions options;
+    options.threads = threads;
+    options.epoch_s = 1.0;
+    Run r;
+    EXPECT_TRUE(RunShards(ptrs, options, [&](SimTime t) {
+                  EXPECT_EQ(in_flight.load(), 0)
+                      << "epoch " << t << ", " << threads << " threads";
+                  r.boundaries.push_back(t);
+                }).ok());
+    for (auto& s : shards) r.traces.push_back(s.trace());
+    return r;
+  };
+  const Run inline_run = run(1);
+  ASSERT_GE(inline_run.boundaries.size(), 10000u);
+  for (int threads : {2, 4, 8}) {
+    const Run threaded = run(threads);
+    EXPECT_EQ(threaded.boundaries, inline_run.boundaries) << threads;
+    EXPECT_EQ(threaded.traces, inline_run.traces) << threads;
+  }
 }
 
 TEST(ShardRunnerTest, FastForwardSkipsEmptyEpochsDeterministically) {

@@ -194,15 +194,19 @@ ReadWriteSet MakeRwSet(uint64_t& lcg) {
     lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
     return static_cast<uint32_t>(lcg >> 33);
   };
+  auto key = [&next] {
+    std::string k = "k";
+    k += std::to_string(next() % 12);
+    return k;
+  };
   ReadWriteSet rw;
   const int reads = 1 + static_cast<int>(next() % 3);
   for (int i = 0; i < reads; ++i) {
-    rw.reads.push_back(ReadItem{"k" + std::to_string(next() % 12), {}});
+    rw.reads.push_back(ReadItem{key(), {}});
   }
   const int writes = static_cast<int>(next() % 3);
   for (int i = 0; i < writes; ++i) {
-    rw.writes.push_back(
-        WriteItem{"k" + std::to_string(next() % 12), "v", false});
+    rw.writes.push_back(WriteItem{key(), "v", false});
   }
   return rw;
 }
